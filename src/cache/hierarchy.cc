@@ -73,12 +73,6 @@ Hierarchy::emitVersion(unsigned vd, Addr line_addr, EpochWide oid,
     ++stats.evictReason[static_cast<std::size_t>(why)];
     NVO_TRACE(Cache, CacheWriteBack, obs::trackVd(vd), now, line_addr,
               static_cast<std::uint64_t>(why));
-    noteTraffic(vd, numVds_ + sliceOf(line_addr),
-                (why == EvictReason::TagWalk ||
-                 why == EvictReason::StoreEvict ||
-                 why == EvictReason::EpochFlush)
-                    ? XTraffic::Snapshot
-                    : XTraffic::Eviction);
     Cycle stall;
     if (sealed) {
         stall = vctrl->acceptVersion(vd, line_addr, oid, seq, *sealed,
@@ -420,7 +414,6 @@ Hierarchy::fetchIntoL2(unsigned vd, Addr addr, bool exclusive, Cycle now,
     // Snoop a remote owner.
     if (e.ownerVd >= 0 && e.ownerVd != static_cast<int>(vd)) {
         unsigned owner = static_cast<unsigned>(e.ownerVd);
-        noteTraffic(vd, owner, XTraffic::Coherence);
         lat += p.noc ? 2 * p.noc->sliceToVd(slice_idx, owner)
                      : p.remoteSnoopLatency;
         if (exclusive) {
@@ -448,7 +441,6 @@ Hierarchy::fetchIntoL2(unsigned vd, Addr addr, bool exclusive, Cycle now,
         for (unsigned v = 0; v < numVds_; ++v) {
             if (v == vd || !e.isSharer(v))
                 continue;
-            noteTraffic(vd, v, XTraffic::Coherence);
             invalidateVd(v, addr, now);
             e.removeSharer(v);
             snooped = true;

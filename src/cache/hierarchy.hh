@@ -79,33 +79,6 @@ class Hierarchy
     Hierarchy(const Params &params, BackingStore &backing,
               DramModel &dram, RunStats &run_stats);
 
-    /** Traffic classes reported to a TrafficSink. */
-    enum class XTraffic : std::uint8_t
-    {
-        Coherence,   ///< directory snoop / invalidation across VDs
-        Eviction,    ///< capacity/coherence version drain to an OMC
-        Snapshot,    ///< epoch-driven version drain (walks, seals)
-    };
-
-    /**
-     * Observer for cross-domain traffic. Domains are flat ids:
-     * 0..numVds-1 name the VDs, numVds..numVds+numSlices-1 name the
-     * LLC-slice/OMC partitions. The shard engine (src/par/) installs
-     * one to account which protocol transitions cross a shard
-     * boundary; note() is always invoked by the thread currently
-     * executing the hierarchy (under the shard engine, the token
-     * holder), never concurrently.
-     */
-    class TrafficSink
-    {
-      public:
-        virtual ~TrafficSink() = default;
-        virtual void note(unsigned from_domain, unsigned to_domain,
-                          XTraffic kind) = 0;
-    };
-
-    void setTrafficSink(TrafficSink *sink) { xsink = sink; }
-
     /** Install NVOverlay version control (enables the CST protocol). */
     void setVersionCtrl(VersionCtrl *ctrl) { vctrl = ctrl; }
 
@@ -290,15 +263,6 @@ class Hierarchy
     /** Lamport observation helper (no-op for baselines). */
     Cycle observeRv(unsigned vd, EpochWide rv, Cycle now);
 
-    /** Report a cross-domain transition to the installed sink. */
-    void
-    noteTraffic(unsigned from_domain, unsigned to_domain,
-                XTraffic kind) const
-    {
-        if (xsink)
-            xsink->note(from_domain, to_domain, kind);
-    }
-
     Params p;
     unsigned numVds_;
     /** NVM back-pressure accumulated by the current operation's
@@ -308,7 +272,6 @@ class Hierarchy
     DramModel &dram;
     RunStats &stats;
     VersionCtrl *vctrl = nullptr;
-    TrafficSink *xsink = nullptr;
     std::function<EpochWide(unsigned)> epochFn;
     WriteTracker *wtracker = nullptr;
     SeqNo seqCounter = 0;

@@ -30,32 +30,6 @@ toString(EvictReason reason)
     }
 }
 
-Histogram::Histogram(std::uint64_t bucket_width, std::size_t num_buckets)
-    : width(bucket_width), buckets(num_buckets, 0)
-{
-    nvo_assert(bucket_width > 0);
-    nvo_assert(num_buckets > 0);
-}
-
-void
-Histogram::add(std::uint64_t sample)
-{
-    std::size_t idx = sample / width;
-    if (idx >= buckets.size())
-        idx = buckets.size() - 1;
-    ++buckets[idx];
-    ++samples;
-    sum += sample;
-    if (sample > maxSeen)
-        maxSeen = sample;
-}
-
-double
-Histogram::mean() const
-{
-    return samples ? static_cast<double>(sum) / samples : 0.0;
-}
-
 TimeSeries::TimeSeries(Cycle bucket_cycles) : width(bucket_cycles)
 {
     nvo_assert(bucket_cycles > 0);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Run statistics: hot counters as plain fields, plus a histogram and a
- * bandwidth time series. Every experiment harness consumes a RunStats.
+ * Run statistics: hot counters as plain fields, plus a bandwidth time
+ * series. Every experiment harness consumes a RunStats.
  */
 
 #ifndef NVO_COMMON_STATS_HH
@@ -43,31 +43,6 @@ enum class EvictReason : unsigned
 };
 
 const char *toString(EvictReason reason);
-
-/** Fixed-width bucketed histogram over uint64 samples. */
-class Histogram
-{
-  public:
-    explicit Histogram(std::uint64_t bucket_width = 1,
-                       std::size_t num_buckets = 64);
-
-    void add(std::uint64_t sample);
-    std::uint64_t count() const { return samples; }
-    std::uint64_t total() const { return sum; }
-    double mean() const;
-    std::uint64_t maxSample() const { return maxSeen; }
-    const std::vector<std::uint64_t> &bucketCounts() const
-    {
-        return buckets;
-    }
-
-  private:
-    std::uint64_t width;
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t samples = 0;
-    std::uint64_t sum = 0;
-    std::uint64_t maxSeen = 0;
-};
 
 /**
  * Bytes binned by cycle bucket; used for the Fig. 17 NVM bandwidth

@@ -49,7 +49,6 @@ EpochTable::idxAt(Addr page_addr, unsigned level)
 EpochTable::PageEntry *
 EpochTable::findEntry(Addr page_addr) const
 {
-    cap_.assertHeld();
     const Node *node = root;
     for (unsigned level = 0; level < 3; ++level) {
         const void *c = node->child[idxAt(page_addr, level)];
@@ -64,7 +63,6 @@ EpochTable::findEntry(Addr page_addr) const
 EpochTable::PageEntry *
 EpochTable::findOrCreateEntry(Addr page_addr)
 {
-    cap_.assertHeld();
     Node *node = root;
     unsigned allocated = 0;
     for (unsigned level = 0; level < 3; ++level) {
@@ -92,7 +90,6 @@ EpochTable::findOrCreateEntry(Addr page_addr)
 bool
 EpochTable::grow(PageEntry &pe, const Sinks &sinks)
 {
-    cap_.assertHeld();
     unsigned new_cap = pe.capacity == 0
                            ? p.initLines
                            : std::min<unsigned>(
@@ -146,7 +143,6 @@ bool
 EpochTable::insert(Addr line_addr, SeqNo seq, const LineData &content,
                    const Sinks &sinks)
 {
-    cap_.assertHeld();
     nvo_assert(lineAlign(line_addr) == line_addr);
     Addr page_addr = pageAlign(line_addr);
     unsigned li = lineInPage(line_addr);
@@ -195,7 +191,6 @@ void
 EpochTable::adoptSubPage(Addr sub_page,
                          const PagePool::SubPageHeader &header)
 {
-    cap_.assertHeld();
     nvo_assert(header.epoch == epoch_,
                "sub-page belongs to a different epoch");
     PageEntry *pe = findOrCreateEntry(header.srcPage);
@@ -239,7 +234,6 @@ void
 EpochTable::forEachVersion(
     const std::function<void(Addr, Addr)> &fn) const
 {
-    cap_.assertHeld();
     for (const auto &pe : entries) {
         if (pe->reclaimed)
             continue;
@@ -256,7 +250,6 @@ EpochTable::forEachVersion(
 void
 EpochTable::forEachPage(const std::function<void(PageEntry &)> &fn)
 {
-    cap_.assertHeld();
     for (auto &pe : entries)
         fn(*pe);
 }
@@ -276,7 +269,6 @@ EpochTable::pageEntry(Addr page_addr) const
 void
 EpochTable::audit() const
 {
-    cap_.assertHeld();
     if (!audit::enabled)
         return;
     for (const auto &pe : entries) {
@@ -339,7 +331,6 @@ EpochTable::audit() const
 std::uint64_t
 EpochTable::tableBytes() const
 {
-    cap_.assertHeld();
     // Inner nodes are 512 x 8 B; leaf descriptors modelled at 16 B
     // (bitmap + sub-page pointer), as in the hardware table.
     return nodeCount * 4096 + entries.size() * 16;

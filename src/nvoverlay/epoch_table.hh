@@ -20,7 +20,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/thread_safety.hh"
 #include "common/types.hh"
 #include "mem/backing_store.hh"
 #include "nvoverlay/page_pool.hh"
@@ -117,19 +116,9 @@ class EpochTable
     PageEntry *pageEntry(Addr page_addr);
     const PageEntry *pageEntry(Addr page_addr) const;
 
-    std::uint64_t
-    versionCount() const
-    {
-        cap_.assertHeld();
-        return versions;
-    }
+    std::uint64_t versionCount() const { return versions; }
     std::uint64_t tableBytes() const;   ///< DRAM footprint of the tree
-    std::uint64_t
-    relocatedBytes() const
-    {
-        cap_.assertHeld();
-        return relocBytes;
-    }
+    std::uint64_t relocatedBytes() const { return relocBytes; }
 
     /**
      * Invariant sweep (NVO_AUDIT): every live overlay page maps into
@@ -163,14 +152,11 @@ class EpochTable
      *  findOrCreateEntry); shared across epochs via the registry's
      *  name dedup, so per-epoch construction stays cheap. */
     obs::HistMetric *hWalk_ = nullptr;
-    /** Per-(partition, epoch) table: shards with its OMC. */
-    ShardCap cap_;
-    Node *root NVO_GUARDED_BY(cap_);
-    std::uint64_t nodeCount NVO_GUARDED_BY(cap_) = 1;
-    std::uint64_t versions NVO_GUARDED_BY(cap_) = 0;
-    std::uint64_t relocBytes NVO_GUARDED_BY(cap_) = 0;
-    std::vector<std::unique_ptr<PageEntry>> entries
-        NVO_GUARDED_BY(cap_);
+    Node *root;
+    std::uint64_t nodeCount = 1;
+    std::uint64_t versions = 0;
+    std::uint64_t relocBytes = 0;
+    std::vector<std::unique_ptr<PageEntry>> entries;
 };
 
 } // namespace nvo

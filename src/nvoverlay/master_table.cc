@@ -55,7 +55,6 @@ MasterTable::idxAt(Addr line_addr, unsigned level)
 void
 MasterTable::emitMeta(std::uint32_t bytes)
 {
-    cap_.assertHeld();
     ++metaWriteCount;
     if (metaWrite)
         metaWrite(bytes);
@@ -64,7 +63,6 @@ MasterTable::emitMeta(std::uint32_t bytes)
 std::optional<MasterTable::Entry>
 MasterTable::insert(tenant::Key key, Addr nvm_addr, EpochWide e)
 {
-    cap_.assertHeld();
     const Addr line_addr = key.addr;
     nvo_assert(lineAlign(line_addr) == line_addr);
     InnerNode *node = root;
@@ -106,7 +104,6 @@ MasterTable::insert(tenant::Key key, Addr nvm_addr, EpochWide e)
 void
 MasterTable::erase(tenant::Key key)
 {
-    cap_.assertHeld();
     const Addr line_addr = key.addr;
     InnerNode *node = root;
     for (unsigned level = 0; level < 3; ++level) {
@@ -130,7 +127,6 @@ MasterTable::erase(tenant::Key key)
 const MasterTable::Entry *
 MasterTable::lookup(Addr line_addr) const
 {
-    cap_.assertHeld();
     const InnerNode *node = root;
     for (unsigned level = 0; level < 3; ++level) {
         const void *c = node->child[idxAt(line_addr, level)];
@@ -178,14 +174,12 @@ void
 MasterTable::forEach(
     const std::function<void(Addr, const Entry &)> &fn) const
 {
-    cap_.assertHeld();
     forEachRec(root, 0, 0, fn);
 }
 
 void
 MasterTable::audit() const
 {
-    cap_.assertHeld();
     if (!audit::enabled)
         return;
     std::uint64_t walked = 0;

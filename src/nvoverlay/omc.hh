@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/stats.hh"
-#include "common/thread_safety.hh"
 #include "common/types.hh"
 #include "mem/backing_store.hh"
 #include "mem/nvm_model.hh"
@@ -128,20 +127,10 @@ class MnmBackend
     void reportMinVer(unsigned vd, EpochWide min_ver, Cycle now);
 
     /** Current recoverable epoch (0 = nothing recoverable yet). */
-    EpochWide
-    recEpoch() const
-    {
-        cap_.assertHeld();
-        return recEpoch_;
-    }
+    EpochWide recEpoch() const { return recEpoch_; }
 
     /** Rec-epoch whose persist fence completed (crash target). */
-    EpochWide
-    durableRecEpoch() const
-    {
-        cap_.assertHeld();
-        return durableRecEpoch_;
-    }
+    EpochWide durableRecEpoch() const { return durableRecEpoch_; }
 
     /** Flush all buffered writes to the device (battery flush). */
     void drainBuffers(Cycle now);
@@ -232,24 +221,9 @@ class MnmBackend
     const MasterTable &master(unsigned omc) const;
     PagePool &pool(unsigned omc);
     EpochTable *epochTable(unsigned omc, EpochWide e);
-    unsigned
-    numOmcs() const
-    {
-        cap_.assertHeld();
-        return static_cast<unsigned>(parts.size());
-    }
-    EpochWide
-    minVerOf(unsigned vd) const
-    {
-        cap_.assertHeld();
-        return minVers[vd];
-    }
-    std::uint64_t
-    mergesDone() const
-    {
-        cap_.assertHeld();
-        return mergeCount;
-    }
+    unsigned numOmcs() const { return static_cast<unsigned>(parts.size()); }
+    EpochWide minVerOf(unsigned vd) const { return minVers[vd]; }
+    std::uint64_t mergesDone() const { return mergeCount; }
 
     std::uint64_t masterNodeBytesTotal() const;
     std::uint64_t masterMappedLinesTotal() const;
@@ -284,8 +258,7 @@ class MnmBackend
                        Cycle now);
 
     /** Merge all tables in (from, upto] into the master. */
-    void mergeUpTo(EpochWide from, EpochWide upto, Cycle now)
-        NVO_REQUIRES(cap_);
+    void mergeUpTo(EpochWide from, EpochWide upto, Cycle now);
 
     /** Master insert that journals its undo in the persist domain. */
     std::optional<MasterTable::Entry>
@@ -303,10 +276,10 @@ class MnmBackend
     void reclaimSubPage(Part &part, EpochTable::PageEntry &pe);
 
     /** Flush accumulated metadata bytes as 64 B device writes. */
-    void flushMeta(Part &part, Cycle now) NVO_REQUIRES(cap_);
+    void flushMeta(Part &part, Cycle now);
 
     /** Persist the rec-epoch word. */
-    void persistRecEpoch(Cycle now) NVO_REQUIRES(cap_);
+    void persistRecEpoch(Cycle now);
 
     Params p;
     NvmModel &nvm;
@@ -317,22 +290,18 @@ class MnmBackend
     obs::HistMetric *hInsertStall_ = nullptr;
     obs::HistMetric *hMergeRun_ = nullptr;
     obs::HistMetric *hBufOcc_ = nullptr;
-    /** The capability ROADMAP item 1's per-partition workers will
-     *  take for real; today the single simulation thread holds it
-     *  implicitly (see common/thread_safety.hh). */
-    ShardCap cap_;
-    std::vector<Part> parts NVO_GUARDED_BY(cap_);
-    std::vector<EpochWide> minVers NVO_GUARDED_BY(cap_);
-    EpochWide recEpoch_ NVO_GUARDED_BY(cap_) = 0;
-    EpochWide durableRecEpoch_ NVO_GUARDED_BY(cap_) = 0;
+    std::vector<Part> parts;
+    std::vector<EpochWide> minVers;
+    EpochWide recEpoch_ = 0;
+    EpochWide durableRecEpoch_ = 0;
     ReplSink *replSink = nullptr;
     tenant::TenantManager *tm_ = nullptr;
     bool bufferBypass = false;
-    std::uint64_t mergeCount NVO_GUARDED_BY(cap_) = 0;
+    std::uint64_t mergeCount = 0;
     /** Version counter driving the testDropMerge seeded bug. */
     std::uint64_t dropMergeTick = 0;
     /** Per-line newest acked version epoch (armed campaigns only). */
-    std::unordered_map<Addr, EpochWide> acked NVO_GUARDED_BY(cap_);
+    std::unordered_map<Addr, EpochWide> acked;
 };
 
 } // namespace nvo

@@ -18,7 +18,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/thread_safety.hh"
 #include "common/types.hh"
 
 namespace nvo
@@ -58,24 +57,9 @@ class OmcBuffer
     /** Flush everything (power failure or clean finalize). */
     std::vector<Pending> drainAll();
 
-    std::uint64_t
-    hits() const
-    {
-        cap_.assertHeld();
-        return hitCount;
-    }
-    std::uint64_t
-    misses() const
-    {
-        cap_.assertHeld();
-        return missCount;
-    }
-    std::uint64_t
-    occupancy() const
-    {
-        cap_.assertHeld();
-        return validCount;
-    }
+    std::uint64_t hits() const { return hitCount; }
+    std::uint64_t misses() const { return missCount; }
+    std::uint64_t occupancy() const { return validCount; }
 
     /** Visit every pending write without draining it. */
     void forEachPending(
@@ -103,13 +87,11 @@ class OmcBuffer
 
     unsigned sets;
     unsigned ways_;
-    /** Per-OMC buffer state shards with its partition. */
-    ShardCap cap_;
-    std::uint64_t lruClock NVO_GUARDED_BY(cap_) = 0;
-    std::uint64_t hitCount NVO_GUARDED_BY(cap_) = 0;
-    std::uint64_t missCount NVO_GUARDED_BY(cap_) = 0;
-    std::uint64_t validCount NVO_GUARDED_BY(cap_) = 0;
-    std::vector<Slot> slots NVO_GUARDED_BY(cap_);
+    std::uint64_t lruClock = 0;
+    std::uint64_t hitCount = 0;
+    std::uint64_t missCount = 0;
+    std::uint64_t validCount = 0;
+    std::vector<Slot> slots;
 };
 
 } // namespace nvo

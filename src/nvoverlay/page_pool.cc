@@ -36,7 +36,6 @@ PagePool::roundLines(unsigned lines)
 Addr
 PagePool::allocPage()
 {
-    cap_.assertHeld();
     for (std::uint64_t i = 0; i < bitmap.size(); ++i) {
         std::uint64_t idx = (scanHint + i) % bitmap.size();
         if (bitmap[idx] == ~0ull)
@@ -55,7 +54,6 @@ PagePool::allocPage()
         if (pd && pd->armed()) {
             pd->stage(PersistDomain::Kind::PoolBitmap,
                       [this, idx, bit] {
-                          cap_.assertHeld();
                           bitmap[idx] &= ~(1ull << bit);
                           --usedPages;
                       });
@@ -69,7 +67,6 @@ PagePool::allocPage()
 void
 PagePool::chargeAsid(tenant::Asid asid, std::int64_t lines)
 {
-    cap_.assertHeld();
     if (lines >= 0) {
         asidLines[asid] += static_cast<std::uint64_t>(lines);
         return;
@@ -87,7 +84,6 @@ void
 PagePool::forEachAsidLines(
     const std::function<void(tenant::Asid, std::uint64_t)> &fn) const
 {
-    cap_.assertHeld();
     for (const auto &kv : asidLines)
         fn(kv.first, kv.second);
 }
@@ -95,7 +91,6 @@ PagePool::forEachAsidLines(
 Addr
 PagePool::allocLines(unsigned lines, tenant::Asid asid)
 {
-    cap_.assertHeld();
     NVO_FAULT_POINT("pool.alloc");
     unsigned rounded = roundLines(lines);
     unsigned order = log2Exact(rounded);
@@ -135,7 +130,6 @@ PagePool::allocLines(unsigned lines, tenant::Asid asid)
         pd->stage(PersistDomain::Kind::PoolBitmap,
                   [this, block, order, src_order, from_free_list,
                    bytes, asid, rounded] {
-                      cap_.assertHeld();
                       for (unsigned o = order; o < src_order; ++o)
                           freeLists[o].pop_back();
                       if (from_free_list)
@@ -152,7 +146,6 @@ PagePool::allocLines(unsigned lines, tenant::Asid asid)
 void
 PagePool::freeLines(Addr addr, unsigned lines, tenant::Asid asid)
 {
-    cap_.assertHeld();
     NVO_FAULT_POINT("pool.free");
     unsigned rounded = roundLines(lines);
     unsigned order = log2Exact(rounded);
@@ -164,7 +157,6 @@ PagePool::freeLines(Addr addr, unsigned lines, tenant::Asid asid)
     if (pd && pd->armed()) {
         pd->stage(PersistDomain::Kind::PoolBitmap,
                   [this, order, bytes, asid, rounded] {
-                      cap_.assertHeld();
                       freeLists[order].pop_back();
                       allocatedBytes += bytes;
                       chargeAsid(asid, rounded);
@@ -178,12 +170,10 @@ PagePool::freeLines(Addr addr, unsigned lines, tenant::Asid asid)
 void
 PagePool::extend(std::uint64_t pages)
 {
-    cap_.assertHeld();
     numPages += pages;
     bitmap.resize((numPages + 63) / 64, 0);
     if (pd && pd->armed()) {
         pd->stage(PersistDomain::Kind::PoolBitmap, [this, pages] {
-            cap_.assertHeld();
             numPages -= pages;
             bitmap.resize((numPages + 63) / 64, 0);
         });
@@ -194,13 +184,11 @@ PagePool::extend(std::uint64_t pages)
 void
 PagePool::writeLine(Addr nvm_addr, const LineData &content)
 {
-    cap_.assertHeld();
     if (pd && pd->armed()) {
         LineData old;
         image.readLine(nvm_addr, old);
         pd->stage(PersistDomain::Kind::PoolData,
                   [this, nvm_addr, old] {
-                      cap_.assertHeld();
                       image.writeLine(nvm_addr, old);
                   });
     }
@@ -210,26 +198,22 @@ PagePool::writeLine(Addr nvm_addr, const LineData &content)
 void
 PagePool::readLine(Addr nvm_addr, LineData &out) const
 {
-    cap_.assertHeld();
     image.readLine(nvm_addr, out);
 }
 
 void
 PagePool::setHeader(Addr sub_page, const SubPageHeader &hdr)
 {
-    cap_.assertHeld();
     if (pd && pd->armed()) {
         auto it = headers.find(sub_page);
         if (it == headers.end()) {
             pd->stage(PersistDomain::Kind::PoolHeader,
                       [this, sub_page] {
-                          cap_.assertHeld();
                           headers.erase(sub_page);
                       });
         } else {
             pd->stage(PersistDomain::Kind::PoolHeader,
                       [this, sub_page, old = it->second] {
-                          cap_.assertHeld();
                           headers[sub_page] = old;
                       });
         }
@@ -240,7 +224,6 @@ PagePool::setHeader(Addr sub_page, const SubPageHeader &hdr)
 const PagePool::SubPageHeader *
 PagePool::header(Addr sub_page) const
 {
-    cap_.assertHeld();
     auto it = headers.find(sub_page);
     return it == headers.end() ? nullptr : &it->second;
 }
@@ -248,7 +231,6 @@ PagePool::header(Addr sub_page) const
 PagePool::SubPageHeader *
 PagePool::header(Addr sub_page)
 {
-    cap_.assertHeld();
     auto it = headers.find(sub_page);
     if (it == headers.end())
         return nullptr;
@@ -258,7 +240,6 @@ PagePool::header(Addr sub_page)
     if (pd && pd->armed()) {
         pd->stage(PersistDomain::Kind::PoolHeader,
                   [this, sub_page, old = it->second] {
-                      cap_.assertHeld();
                       headers[sub_page] = old;
                   });
     }
@@ -268,13 +249,11 @@ PagePool::header(Addr sub_page)
 void
 PagePool::dropHeader(Addr sub_page)
 {
-    cap_.assertHeld();
     if (pd && pd->armed()) {
         auto it = headers.find(sub_page);
         if (it != headers.end()) {
             pd->stage(PersistDomain::Kind::PoolHeader,
                       [this, sub_page, old = it->second] {
-                          cap_.assertHeld();
                           headers[sub_page] = old;
                       });
         }
@@ -286,7 +265,6 @@ void
 PagePool::forEachHeader(
     const std::function<void(Addr, const SubPageHeader &)> &fn) const
 {
-    cap_.assertHeld();
     for (const auto &kv : headers)
         fn(kv.first, kv.second);
 }
@@ -294,7 +272,6 @@ PagePool::forEachHeader(
 bool
 PagePool::pageAllocated(Addr addr) const
 {
-    cap_.assertHeld();
     if (addr < base)
         return false;
     std::uint64_t page = (addr - base) / pageBytes;
@@ -306,7 +283,6 @@ PagePool::pageAllocated(Addr addr) const
 void
 PagePool::audit() const
 {
-    cap_.assertHeld();
     if (!audit::enabled)
         return;
 

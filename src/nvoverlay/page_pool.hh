@@ -21,7 +21,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/thread_safety.hh"
 #include "common/types.hh"
 #include "mem/backing_store.hh"
 #include "tenant/asid.hh"
@@ -98,30 +97,14 @@ class PagePool
         const std::function<void(Addr, const SubPageHeader &)> &fn)
         const;
 
-    std::uint64_t
-    totalPages() const
-    {
-        cap_.assertHeld();
-        return numPages;
-    }
-    std::uint64_t
-    pagesInUse() const
-    {
-        cap_.assertHeld();
-        return usedPages;
-    }
-    std::uint64_t
-    bytesAllocated() const
-    {
-        cap_.assertHeld();
-        return allocatedBytes;
-    }
+    std::uint64_t totalPages() const { return numPages; }
+    std::uint64_t pagesInUse() const { return usedPages; }
+    std::uint64_t bytesAllocated() const { return allocatedBytes; }
 
     /** Lines currently allocated on behalf of tenant @p asid. */
     std::uint64_t
     linesInUse(tenant::Asid asid) const
     {
-        cap_.assertHeld();
         auto it = asidLines.find(asid);
         return it == asidLines.end() ? 0 : it->second;
     }
@@ -135,7 +118,6 @@ class PagePool
     double
     utilization() const
     {
-        cap_.assertHeld();
         return numPages ? static_cast<double>(usedPages) / numPages
                         : 0.0;
     }
@@ -165,28 +147,21 @@ class PagePool
      *  p99 near 1 means the rotating hint works; a drifting p99
      *  means fragmentation is forcing long scans). */
     obs::HistMetric *hScan_ = nullptr;
-    /** Future per-partition shard capability (ROADMAP item 1): the
-     *  pool is per-OMC state and moves wholesale into one shard. */
-    ShardCap cap_;
     /** Tenant line accounting shared by alloc/free and their staged
      *  undos (so a crash unwind restores per-tenant occupancy too). */
-    void chargeAsid(tenant::Asid asid, std::int64_t lines)
-        NVO_REQUIRES(cap_);
+    void chargeAsid(tenant::Asid asid, std::int64_t lines);
 
-    std::uint64_t numPages NVO_GUARDED_BY(cap_);
-    std::uint64_t usedPages NVO_GUARDED_BY(cap_) = 0;
-    std::uint64_t allocatedBytes NVO_GUARDED_BY(cap_) = 0;
+    std::uint64_t numPages;
+    std::uint64_t usedPages = 0;
+    std::uint64_t allocatedBytes = 0;
     /** Lines allocated per tenant (key absent == 0). */
-    std::map<tenant::Asid, std::uint64_t> asidLines
-        NVO_GUARDED_BY(cap_);
-    std::vector<std::uint64_t> bitmap NVO_GUARDED_BY(cap_);
-    std::uint64_t scanHint NVO_GUARDED_BY(cap_) = 0;
+    std::map<tenant::Asid, std::uint64_t> asidLines;
+    std::vector<std::uint64_t> bitmap;
+    std::uint64_t scanHint = 0;
     /** Free lists per order (order k = 2^k lines). */
-    std::array<std::vector<Addr>, maxOrder + 1> freeLists
-        NVO_GUARDED_BY(cap_);
-    BackingStore image NVO_GUARDED_BY(cap_);
-    std::unordered_map<Addr, SubPageHeader> headers
-        NVO_GUARDED_BY(cap_);
+    std::array<std::vector<Addr>, maxOrder + 1> freeLists;
+    BackingStore image;
+    std::unordered_map<Addr, SubPageHeader> headers;
     PersistDomain *pd = nullptr;
 };
 

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 
-#include "common/thread_safety.hh"
 #include "common/types.hh"
 
 namespace nvo
@@ -27,27 +26,12 @@ class VersionedDomain
     }
 
     unsigned id() const { return vdId; }
-    EpochWide
-    epoch() const
-    {
-        cap_.assertHeld();
-        return cur;
-    }
+    EpochWide epoch() const { return cur; }
 
     /** A store committed in this VD during the current epoch. */
-    void
-    noteStore()
-    {
-        cap_.assertHeld();
-        ++storesThisEpoch;
-    }
+    void noteStore() { ++storesThisEpoch; }
 
-    std::uint64_t
-    storesInEpoch() const
-    {
-        cap_.assertHeld();
-        return storesThisEpoch;
-    }
+    std::uint64_t storesInEpoch() const { return storesThisEpoch; }
 
     /**
      * Advance to @p target (must be > current). Resets the per-epoch
@@ -55,28 +39,15 @@ class VersionedDomain
      */
     void advance(EpochWide target, bool lamport);
 
-    std::uint64_t
-    advances() const
-    {
-        cap_.assertHeld();
-        return advanceCount;
-    }
-    std::uint64_t
-    lamportAdvances() const
-    {
-        cap_.assertHeld();
-        return lamportCount;
-    }
+    std::uint64_t advances() const { return advanceCount; }
+    std::uint64_t lamportAdvances() const { return lamportCount; }
 
   private:
     unsigned vdId;
-    /** One VD = one future shard: the cur-epoch register and its
-     *  counters are the canonical per-VD sharded state. */
-    ShardCap cap_;
-    EpochWide cur NVO_GUARDED_BY(cap_);
-    std::uint64_t storesThisEpoch NVO_GUARDED_BY(cap_) = 0;
-    std::uint64_t advanceCount NVO_GUARDED_BY(cap_) = 0;
-    std::uint64_t lamportCount NVO_GUARDED_BY(cap_) = 0;
+    EpochWide cur;
+    std::uint64_t storesThisEpoch = 0;
+    std::uint64_t advanceCount = 0;
+    std::uint64_t lamportCount = 0;
 };
 
 } // namespace nvo

@@ -13,10 +13,7 @@
  * no allocation on the record path, ever.
  *
  * Buckets are plain counters, so two histograms merge by bucket-wise
- * addition: the shard-local instances the MetricRegistry hands out
- * fold into the main instance at quantum barriers without any loss,
- * keeping sharded metric snapshots byte-identical to the sequential
- * oracle's.
+ * addition without any loss.
  *
  * Cost model: record() is branch-free except for the sub-16 fast
  * test — a bit-scan, two shifts, and four add/stores. Call sites go

@@ -11,8 +11,6 @@ namespace nvo
 namespace obs
 {
 
-thread_local unsigned MetricRegistry::tlsSlot_ = 0;
-
 MetricRegistry &
 metricRegistry()
 {
@@ -28,13 +26,10 @@ MetricRegistry::configure(const Config &cfg)
     bool enabled = cfg.has("metrics.enabled") &&
                    cfg.getBool("metrics.enabled", false);
     armed_ = metricCompiled && enabled;
-    shards_ = 0;
-    for (Counter &c : counters_) {
-        c.slots.assign(1, 0);
-    }
-    for (HistMetric &h : hists_) {
-        h.slots.assign(1, Histogram());
-    }
+    for (Counter &c : counters_)
+        c.value = 0;
+    for (HistMetric &h : hists_)
+        h.hist.reset();
     gauges_.clear();
 }
 
@@ -44,42 +39,13 @@ MetricRegistry::setArmed(bool on)
     armed_ = on && metricCompiled;
 }
 
-void
-MetricRegistry::setShards(unsigned shards)
-{
-    shards_ = shards;
-    for (Counter &c : counters_)
-        c.slots.resize(shards + 1, 0);
-    for (HistMetric &h : hists_)
-        h.slots.resize(shards + 1);
-}
-
-void
-MetricRegistry::mergeShards()
-{
-    for (Counter &c : counters_) {
-        for (std::size_t s = 1; s < c.slots.size(); ++s) {
-            c.slots[0] += c.slots[s];
-            c.slots[s] = 0;
-        }
-    }
-    for (HistMetric &h : hists_) {
-        for (std::size_t s = 1; s < h.slots.size(); ++s) {
-            h.slots[0].merge(h.slots[s]);
-            h.slots[s].reset();
-        }
-    }
-}
-
 Counter *
 MetricRegistry::addCounter(const std::string &name, MetricScope scope)
 {
     auto it = counterByName_.find(name);
     if (it != counterByName_.end())
         return it->second;
-    counters_.push_back(Counter{name, scope,
-                                std::vector<std::uint64_t>(
-                                    shards_ + 1, 0)});
+    counters_.push_back(Counter{name, scope, 0});
     Counter *c = &counters_.back();
     counterByName_[name] = c;
     return c;
@@ -91,8 +57,7 @@ MetricRegistry::addHist(const std::string &name, MetricScope scope)
     auto it = histByName_.find(name);
     if (it != histByName_.end())
         return it->second;
-    hists_.push_back(HistMetric{name, scope,
-                                std::vector<Histogram>(shards_ + 1)});
+    hists_.push_back(HistMetric{name, scope, Histogram()});
     HistMetric *h = &hists_.back();
     histByName_[name] = h;
     return h;
@@ -104,24 +69,6 @@ MetricRegistry::addGauge(const std::string &name,
                          MetricScope scope)
 {
     gauges_[name] = Gauge{scope, std::move(fn)};
-}
-
-std::uint64_t
-MetricRegistry::total(const Counter *c) const
-{
-    std::uint64_t t = 0;
-    for (std::uint64_t v : c->slots)
-        t += v;
-    return t;
-}
-
-Histogram
-MetricRegistry::merged(const HistMetric *h) const
-{
-    Histogram m;
-    for (const Histogram &s : h->slots)
-        m.merge(s);
-    return m;
 }
 
 std::size_t
@@ -228,7 +175,7 @@ MetricRegistry::writePrometheus(std::ostream &os) const
         os << n << " " << kv.second.fn() << "\n";
     }
     for (const auto &kv : histByName_) {
-        Histogram m = merged(kv.second);
+        const Histogram &m = merged(kv.second);
         std::string n = promName(kv.first);
         os << "# TYPE " << n << " summary\n";
         os << n << "{quantile=\"0.5\"} " << m.percentile(50.0) << "\n";

@@ -70,11 +70,10 @@ enum class Cat : std::uint32_t
     Fault = 1u << 8,     ///< fault injection, persist barriers/crashes
     Ledger = 1u << 9,    ///< version-lifecycle provenance transitions
     Repl = 1u << 10,     ///< epoch-delta shipping to the standby
-    Par = 1u << 11,      ///< shard engine: token barriers, ring drains
-    Policy = 1u << 12,   ///< adaptive policy engine decisions/actuations
+    Policy = 1u << 11,   ///< adaptive policy engine decisions/actuations
 };
 
-constexpr std::uint32_t allCats = 0x1fffu;
+constexpr std::uint32_t allCats = 0xfffu;
 
 /** Typed events. Metadata (name, category, arg names) in info(). */
 enum class Ev : std::uint16_t
@@ -133,12 +132,8 @@ enum class Ev : std::uint16_t
     ReplBackpressure,///< a0 = send-queue depth
     ReplCursorPersist, ///< a0 = cursor epoch, a1 = generation
     ReplResume,      ///< a0 = durable cursor, a1 = rec-epoch
-    // Shard engine (src/par). Emitted by the coordinator only, after
-    // the quantum barrier — the Tracer is not thread-safe.
-    ParToken,        ///< a0 = barrier seq, a1 = 1 when poisoned
-    ParXDrain,       ///< a0 = msgs drained, a1 = ring high water
-    // Adaptive policy engine (src/policy). Coordinator-only, at
-    // epoch boundaries observed from quantum barriers.
+    // Adaptive policy engine (src/policy), at epoch boundaries
+    // observed from quantum barriers.
     PolicyDecision,  ///< a0 = controller id, a1 = controller output
     PolicyActuate,   ///< a0 = knob id, a1 = value applied
     NumEvents
@@ -184,11 +179,6 @@ constexpr std::uint32_t
 trackOmc(unsigned omc)
 {
     return 256 + omc;
-}
-constexpr std::uint32_t
-trackShard(unsigned shard)
-{
-    return 512 + shard;
 }
 
 std::string trackName(std::uint32_t track);

@@ -2,14 +2,12 @@
  * @file
  * Process-level fan-out for independent simulations.
  *
- * The shard engine parallelizes *inside* one simulation while keeping
- * its results bit-identical, which caps its speedup at what the token
- * chain leaves off the critical path. Campaign-style drivers (crash
- * campaigns, figure sweeps) have a far better lever: their runs are
- * completely independent, so forkMap() fans the task list across
- * forked worker processes — each child a full copy-on-write image of
- * the parent, no shared simulator state at all — and ships each
- * task's result back over a pipe as an opaque byte payload.
+ * One simulation runs on one host thread. Crash campaigns and figure
+ * sweeps run many completely independent simulations, so forkMap()
+ * fans the task list across forked worker processes — each child a
+ * full copy-on-write image of the parent, no shared simulator state
+ * at all — and ships each task's result back over a pipe as an
+ * opaque byte payload.
  *
  * Determinism: tasks are assigned round-robin (task t -> worker
  * t % jobs) and results are returned indexed by task, so the caller

@@ -10,10 +10,8 @@
  * differencing against the previous frame. Controllers consume only
  * Signals — never wall-clock time, host state, or floating point — so
  * a run's decision sequence is a pure function of the simulated
- * execution and stays byte-identical across `par.shards` settings
- * (frames are sampled on the coordinator after the quantum barrier,
- * where the shard engine's state is bit-identical to the sequential
- * oracle; see docs/POLICY.md).
+ * execution (frames are sampled after the quantum barrier; see
+ * docs/POLICY.md).
  */
 
 #ifndef NVO_POLICY_SIGNAL_HH

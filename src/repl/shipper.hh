@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/stats.hh"
-#include "common/thread_safety.hh"
 #include "nvoverlay/omc.hh"
 #include "repl/link.hh"
 #include "repl/wire.hh"
@@ -84,46 +83,18 @@ class DeltaShipper : public ReplSink
      */
     std::uint64_t resume(Cycle now);
 
-    EpochWide
-    cursor() const
-    {
-        cap_.assertHeld();
-        return cursor_;
-    }
-    EpochWide
-    durableCursor() const
-    {
-        cap_.assertHeld();
-        return durableCursor_;
-    }
-    EpochWide
-    shippedUpTo() const
-    {
-        cap_.assertHeld();
-        return shippedUpTo_;
-    }
-    std::uint32_t
-    generation() const
-    {
-        cap_.assertHeld();
-        return generation_;
-    }
-    std::uint64_t
-    framesShipped() const
-    {
-        cap_.assertHeld();
-        return nextFrameId - 1;
-    }
+    EpochWide cursor() const { return cursor_; }
+    EpochWide durableCursor() const { return durableCursor_; }
+    EpochWide shippedUpTo() const { return shippedUpTo_; }
+    std::uint32_t generation() const { return generation_; }
+    std::uint64_t framesShipped() const { return nextFrameId - 1; }
 
   private:
-    void shipEpoch(EpochWide e, Cycle now) NVO_REQUIRES(cap_);
-    /** No NVO_REQUIRES: also called from extraction lambdas, which
-     *  the thread-safety analysis checks as separate functions. It
-     *  asserts the capability instead. */
+    void shipEpoch(EpochWide e, Cycle now);
     void sendFrame(FrameType type, EpochWide epoch, std::uint64_t arg,
                    const LineData *payload, Cycle now);
-    void maybeAdvanceCursor(Cycle now) NVO_REQUIRES(cap_);
-    void persistCursor(Cycle now) NVO_REQUIRES(cap_);
+    void maybeAdvanceCursor(Cycle now);
+    void persistCursor(Cycle now);
 
     MnmBackend &backend;
     NvmModel &nvm;
@@ -131,21 +102,16 @@ class DeltaShipper : public ReplSink
     RunStats &stats;
     Params p;
 
-    /** Replication state is single-owner: the shipping thread of the
-     *  future sharded simulator (ROADMAP item 1). */
-    ShardCap cap_;
-    std::uint32_t generation_ NVO_GUARDED_BY(cap_) = 1;
-    std::uint64_t nextFrameId NVO_GUARDED_BY(cap_) = 1;
-    EpochWide shippedUpTo_ NVO_GUARDED_BY(cap_) = 0;
-    EpochWide cursor_ NVO_GUARDED_BY(cap_) = 0;
-    EpochWide durableCursor_ NVO_GUARDED_BY(cap_) = 0;
+    std::uint32_t generation_ = 1;
+    std::uint64_t nextFrameId = 1;
+    EpochWide shippedUpTo_ = 0;
+    EpochWide cursor_ = 0;
+    EpochWide durableCursor_ = 0;
 
     /** Per-epoch unacked frame counts (regular frames only). */
-    std::map<EpochWide, std::uint64_t> outstanding
-        NVO_GUARDED_BY(cap_);
+    std::map<EpochWide, std::uint64_t> outstanding;
     /** frame id -> epoch for regular in-flight frames. */
-    std::map<std::uint64_t, EpochWide> frameEpoch
-        NVO_GUARDED_BY(cap_);
+    std::map<std::uint64_t, EpochWide> frameEpoch;
 
     /** Durable late-amendment log: un-trimmed entries re-ship on
      *  resume (their content survives in the NVM pool image). */
@@ -156,7 +122,7 @@ class DeltaShipper : public ReplSink
         std::uint64_t frameId;
         bool acked = false;
     };
-    std::vector<LateRec> lateLog NVO_GUARDED_BY(cap_);
+    std::vector<LateRec> lateLog;
 };
 
 } // namespace repl

@@ -52,12 +52,12 @@ class WorkloadBase : public RefSource
 
     /**
      * True when genOp(thread, ...) touches nothing but that thread's
-     * own state (its Rng, cursor, arena) and constant members — the
-     * confinement contract that lets the shard engine pre-generate a
-     * thread's batches concurrently with other shards' execution
-     * (src/par/pregen.hh). Workloads whose generator reads or writes
-     * shared host structures (the B+Tree nodes, a hash set, ...) must
-     * leave this false: their generation order is globally visible.
+     * own state (its Rng, cursor, arena) and constant members, so a
+     * thread's batches may be generated ahead of, or apart from, the
+     * other threads' execution without changing any result.
+     * Workloads whose generator reads or writes shared host
+     * structures (the B+Tree nodes, a hash set, ...) must leave this
+     * false: their generation order is globally visible.
      */
     virtual bool independentGen() const { return false; }
 

@@ -6,7 +6,7 @@ void
 stageVersion(Partition &part, Addr line, NvmModel &nvm, EpochWide e,
              tenant::Asid asid)
 {
-    part.master->insert(tenant::keyOf(line), nvm, e);  // nvo-lint: allow(ledger-hook)
+    part.master->insert(tenant::keyOf(line), nvm, e);
     Addr base = part.pool->allocLines(4, asid);
     part.pool->freeLines(base, 4, asid);
 }

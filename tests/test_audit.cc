@@ -163,10 +163,13 @@ TEST(AuditDeath, MacroPanicsWithConditionAndMessage)
 TEST(AuditDeath, PoolDoubleFreeIsCaught)
 {
     PagePool pool(1ull << 40, 1ull << 20);
-    Addr a = pool.allocLines(4);
+    Addr a = pool.allocLines(4, 0);
     ASSERT_NE(a, invalidAddr);
-    pool.freeLines(a, 4);
-    pool.freeLines(a, 4);   // seeded corruption: double free
+    // A second live block keeps the tenant's line count from going
+    // negative, so the double free reaches the sweep.
+    ASSERT_NE(pool.allocLines(4, 0), invalidAddr);
+    pool.freeLines(a, 4, 0);
+    pool.freeLines(a, 4, 0);   // seeded corruption: double free
     EXPECT_DEATH(pool.audit(), "audit failure");
 }
 
@@ -207,7 +210,7 @@ TEST(AuditDeath, BackendCorruptPoolIsCaught)
     Addr sub = backend.epochTable(omc, 1)->lookupNvm(0x1000);
     // Seeded corruption: free storage the table still maps (slot 0,
     // so `sub` is the block base the allocator handed out).
-    backend.pool(omc).freeLines(sub, 4);
+    backend.pool(omc).freeLines(sub, 4, 0);
     EXPECT_DEATH(backend.audit(), "audit failure");
 }
 

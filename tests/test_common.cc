@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for common utilities: Config, Rng, bit utilities,
- * Histogram/TimeSeries statistics.
+ * TimeSeries statistics.
  */
 
 #include <gtest/gtest.h>
@@ -146,22 +146,6 @@ TEST(BitUtil, Alignment)
     EXPECT_EQ(lineInPage(0x12345), (0x345u >> 6));
     EXPECT_EQ(roundUpPow2(65, 64), 128u);
     EXPECT_EQ(roundUpPow2(64, 64), 64u);
-}
-
-TEST(Histogram, BucketsAndMoments)
-{
-    Histogram h(10, 5);
-    h.add(0);
-    h.add(9);
-    h.add(10);
-    h.add(1000);   // clamps to last bucket
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.total(), 1019u);
-    EXPECT_EQ(h.maxSample(), 1000u);
-    EXPECT_EQ(h.bucketCounts()[0], 2u);
-    EXPECT_EQ(h.bucketCounts()[1], 1u);
-    EXPECT_EQ(h.bucketCounts()[4], 1u);
-    EXPECT_DOUBLE_EQ(h.mean(), 1019.0 / 4);
 }
 
 TEST(TimeSeries, BinningAndPeak)

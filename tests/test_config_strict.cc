@@ -84,17 +84,21 @@ TEST(ConfigStrict, FullRunConsumesEveryDefaultKey)
     cfg.set("wl.ops", std::uint64_t(200));
     cfg.set("wl.hashtable.prefill", std::uint64_t(64));
     cfg.set("nvo.typo_key", std::uint64_t(1));   // nothing reads this
+    // A key that no longer exists: a stale script setting it must be
+    // told, not silently run without it.
+    cfg.set("par.shards", std::uint64_t(2));
     System sys(cfg, "nvoverlay", "hashtable");
     sys.run();
     auto unread = sys.config().unreadKeys();
-    // The seeded typo is flagged...
-    EXPECT_NE(std::find(unread.begin(), unread.end(),
-                        "nvo.typo_key"),
-              unread.end());
-    // ...and it is the only unread key: every legitimate knob the
+    // The two seeded keys are flagged...
+    for (const char *key : {"nvo.typo_key", "par.shards"})
+        EXPECT_NE(std::find(unread.begin(), unread.end(), key),
+                  unread.end())
+            << key;
+    // ...and they are the only unread keys: every legitimate knob the
     // test set was consumed by the harness or the scheme.
-    EXPECT_EQ(unread.size(), 1u)
-        << "unexpected unread keys beyond the seeded typo";
+    EXPECT_EQ(unread.size(), 2u)
+        << "unexpected unread keys beyond the seeded two";
 }
 
 } // namespace

@@ -505,10 +505,10 @@ analyzeSteady(const Value &root)
 /**
  * (e): telemetry self-consistency (docs/OBSERVABILITY.md). Two
  * invariants the registry must uphold: every histogram's per-bucket
- * occupancies sum exactly to its sample count (the merge path folds
- * shard slots bucket-by-bucket, so any drift means a lost or
- * double-counted sample), and the snapshot carries every registered
- * sim-scope metric (`registered` vs. the sections actually present).
+ * occupancies sum exactly to its sample count (any drift means a
+ * lost or double-counted sample), and the snapshot carries every
+ * registered sim-scope metric (`registered` vs. the sections actually
+ * present).
  * Silently skipped (exit 0) for runs without a metrics section.
  */
 int

@@ -21,20 +21,6 @@
  *                    through common/log, the obs/ exporters, or the
  *                    harness table printer so machine-readable runs
  *                    stay clean. Those three locations are exempt.
- *  - persist-domain: durable structures under src/nvoverlay/ may not
- *                    write NVM behind the persist boundary's back: no
- *                    direct `<nvm model>.write(...)` calls; route
- *                    through nvm.persist().write() so crash-recovery
- *                    campaigns see every durable mutation.
- *  - ledger-hook:    version-lifecycle transitions under
- *                    src/nvoverlay/ must stay visible to the
- *                    provenance ledger (obs/ledger.hh): no direct
- *                    master-table insert/erase (route through
- *                    MnmBackend::masterInsert and unref, which pair
- *                    the mutation with the matching ledger event) and
- *                    no direct sub-page dropHeader (route through
- *                    MnmBackend::reclaimSubPage, which only runs once
- *                    every buried version has exited the ledger).
  *  - asid-key:       multi-tenant tagging under src/nvoverlay/:
  *                    master-table insert/erase must take a tenant key
  *                    (built through tenant::keyOf / tenant::tag, which
@@ -43,14 +29,6 @@
  *                    owning ASID — a mutation whose argument list
  *                    names nothing key- or asid-like is invisible to
  *                    per-tenant quota and write-amp accounting.
- *  - shard-confinement: code under src/par/ may only drive simulated
- *                    state (core/scheme runUntil, tag-walk and flush
- *                    entry points, the hierarchy handle) from inside
- *                    a lexical ShardGuard scope — the runtime token
- *                    that proves the shard owns that state. Traffic
- *                    that crosses shards must go through the SPSC
- *                    ring API (tryPush/tryPop) instead, which is
- *                    always legal.
  *
  * Suppression: an allowlist file ("<rule> <path-suffix>" per line) or
  * an inline "nvo-lint: allow(rule)" marker on the offending line.
@@ -62,8 +40,8 @@
  * `<rule_with_underscores>.<good|bad>[.variant].cc` — bad fixtures
  * must produce at least one violation of exactly that rule, good
  * fixtures must lint clean. Fixtures may pin their lint scope with a
- * leading `// lint-path: <path>` line (e.g. `par/fixture.cc` to put
- * the file under the shard-confinement rule's jurisdiction).
+ * leading `// lint-path: <path>` line (e.g. `nvoverlay/fixture.cc` to
+ * put the file under the asid-key rule's jurisdiction).
  */
 
 #include <algorithm>
@@ -444,17 +422,9 @@ argsCarryAsid(const std::vector<Token> &toks, std::size_t open)
 void
 lintTokens(const std::string &display, const std::vector<Token> &toks,
            bool is_epoch_header, bool raw_io_exempt,
-           bool persist_scope, bool par_scope, bool metric_scope,
+           bool persist_scope, bool metric_scope,
            std::vector<Violation> &out)
 {
-    // Brace-depth bookkeeping for shard-confinement: a ShardGuard
-    // declaration covers the rest of the block it is declared in
-    // (destructor releases at the closing brace), so track the depth
-    // each live guard was declared at and retire it when its block
-    // closes.
-    int depth = 0;
-    std::vector<int> guard_depths;
-
     // Pass 1: identifiers declared with type EpochId.
     std::set<std::string> epoch_ids;
     for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
@@ -466,52 +436,6 @@ lintTokens(const std::string &display, const std::vector<Token> &toks,
     static const std::set<std::string> relops = {"<", ">", "<=", ">="};
     for (std::size_t i = 0; i < toks.size(); ++i) {
         const Token &t = toks[i];
-
-        if (t.text == "{") {
-            ++depth;
-        } else if (t.text == "}") {
-            --depth;
-            while (!guard_depths.empty() &&
-                   guard_depths.back() > depth)
-                guard_depths.pop_back();
-        }
-
-        if (par_scope) {
-            // A declaration "ShardGuard g(cap)" arms the scope.
-            if (t.text == "ShardGuard" && i + 1 < toks.size() &&
-                toks[i + 1].ident)
-                guard_depths.push_back(depth);
-            bool guarded = !guard_depths.empty();
-            // Simulated-state entry points: stepping a core or
-            // scheme, or forcing hierarchy walks/flushes.
-            static const std::set<std::string> sim_entry = {
-                "runUntil", "tagWalkScan", "flushAll"};
-            if (!guarded && t.ident && sim_entry.count(t.text) &&
-                i > 0 &&
-                (toks[i - 1].text == "." ||
-                 toks[i - 1].text == "->")) {
-                out.push_back(
-                    {display, t.line, "shard-confinement",
-                     t.text + "() outside a ShardGuard scope; only "
-                     "the token-holding shard may step simulated "
-                     "state (cross-shard traffic goes through the "
-                     "ring API)"});
-            }
-            // Touching the cache hierarchy handle directly is the
-            // same hazard regardless of which method is called.
-            static const std::set<std::string> hier_names = {
-                "hier", "hier_", "hierarchy", "hierarchy_"};
-            if (!guarded && t.ident && hier_names.count(t.text) &&
-                i + 1 < toks.size() &&
-                (toks[i + 1].text == "." ||
-                 toks[i + 1].text == "->")) {
-                out.push_back(
-                    {display, t.line, "shard-confinement",
-                     "hierarchy access outside a ShardGuard scope; "
-                     "shard-owned state may only be touched under "
-                     "the shard's capability"});
-            }
-        }
 
         if (relops.count(t.text) && i > 0 && i + 1 < toks.size()) {
             const Token &a = toks[i - 1];
@@ -550,39 +474,14 @@ lintTokens(const std::string &display, const std::vector<Token> &toks,
                      "harness table printer"});
         }
 
-        static const std::set<std::string> nvm_names = {
-            "nvm", "nvm_", "nvmModel", "nvm_model"};
-        if (persist_scope && t.ident && nvm_names.count(t.text) &&
-            i + 2 < toks.size() && toks[i + 1].text == "." &&
-            toks[i + 2].text == "write") {
-            out.push_back(
-                {display, t.line, "persist-domain",
-                 "direct NVM write bypasses the persist boundary "
-                 "(use " + t.text + ".persist().write)"});
-        }
-
-        // ledger-hook: the master table and the overlay sub-pages
-        // define version lifecycle; mutating them away from the
-        // hooked helpers would leave the provenance ledger blind.
+        // asid-key: master-table and page-pool mutations must carry
+        // tenancy. A master key built away from tenant::keyOf/tag, or
+        // a page-pool alloc/free without the owning ASID, silently
+        // exits a line from per-tenant quota and write-amp accounting.
         static const std::set<std::string> master_names = {
             "master", "master_", "mt", "masterTable", "master_table"};
         static const std::set<std::string> master_muts = {"insert",
                                                           "erase"};
-        if (persist_scope && t.ident && master_names.count(t.text) &&
-            i + 2 < toks.size() &&
-            (toks[i + 1].text == "." || toks[i + 1].text == "->") &&
-            master_muts.count(toks[i + 2].text)) {
-            out.push_back(
-                {display, t.line, "ledger-hook",
-                 "master-table " + toks[i + 2].text + " outside the "
-                 "hooked path (route through MnmBackend::masterInsert"
-                 " / unref so the version ledger records the "
-                 "transition)"});
-        }
-        // asid-key: the same mutations must also carry tenancy. A
-        // master key built away from tenant::keyOf/tag, or a page-
-        // pool alloc/free without the owning ASID, silently exits a
-        // line from per-tenant quota and write-amp accounting.
         if (persist_scope && t.ident && master_names.count(t.text) &&
             i + 3 < toks.size() &&
             (toks[i + 1].text == "." || toks[i + 1].text == "->") &&
@@ -609,20 +508,11 @@ lintTokens(const std::string &display, const std::vector<Token> &toks,
                  "pass the caller's asid)"});
         }
 
-        if (persist_scope && t.text == "dropHeader" && i > 0 &&
-            (toks[i - 1].text == "." || toks[i - 1].text == "->")) {
-            out.push_back(
-                {display, t.line, "ledger-hook",
-                 "sub-page drop outside the hooked path (route "
-                 "through MnmBackend::reclaimSubPage so buried "
-                 "versions exit the ledger first)"});
-        }
-
         // metric-registry: instrumented subsystems must hold metric
         // *handles* from obs::metricRegistry() (addCounter/addHist),
         // never own a Histogram/Counter by value — a privately owned
-        // instrument is invisible to the exporter and breaks the
-        // shard-slot merge that keeps parallel runs deterministic.
+        // instrument is invisible to the exporter and to the stats
+        // JSON `metrics` section.
         // Pointer declarations (`HistMetric *h`) and forward
         // declarations stay clean: the next token is not an ident.
         static const std::set<std::string> metric_types = {
@@ -633,8 +523,7 @@ lintTokens(const std::string &display, const std::vector<Token> &toks,
                 {display, t.line, "metric-registry",
                  "by-value " + t.text + " construction outside the "
                  "registry (hold a handle from obs::metricRegistry()"
-                 ".addCounter/addHist so the exporter sees it and "
-                 "shard slots merge deterministically)"});
+                 ".addCounter/addHist so the exporter sees it)"});
         }
 
         if (t.text == "new") {
@@ -672,14 +561,14 @@ lintText(const std::string &display, const std::string &guard_path,
         guard_path.rfind("common/log", 0) == 0 ||
         guard_path.rfind("harness/table_printer", 0) == 0;
     bool persist_scope = guard_path.rfind("nvoverlay/", 0) == 0;
-    bool par_scope = guard_path.rfind("par/", 0) == 0;
-    bool metric_scope = persist_scope || par_scope ||
+    bool metric_scope = persist_scope ||
+                        guard_path.rfind("par/", 0) == 0 ||
                         guard_path.rfind("repl/", 0) == 0 ||
                         guard_path.rfind("tenant/", 0) == 0;
     if (is_header)
         checkIncludeGuard(display, text, guard_path, out);
     lintTokens(display, toks, is_epoch_header, raw_io_exempt,
-               persist_scope, par_scope, metric_scope, out);
+               persist_scope, metric_scope, out);
 
     // Drop violations suppressed by an inline marker.
     out.erase(std::remove_if(
@@ -850,63 +739,14 @@ selfTest()
         {"raw-io allow marker suppresses", "cache/foo.cc",
          "void f() { puts(\"x\"); }  // nvo-lint: allow(raw-io)\n",
          nullptr},
-        {"direct nvm write flagged in nvoverlay", "nvoverlay/foo.cc",
-         "void f() { nvm.write(a, 64, now, k); }\n",
-         "persist-domain"},
-        {"member nvm_ write flagged in nvoverlay", "nvoverlay/foo.cc",
-         "void f() { nvm_model.write(a, 8, now, k); }\n",
-         "persist-domain"},
-        {"persist-routed write is clean", "nvoverlay/foo.cc",
-         "void f() { nvm.persist().write(a, 64, now, k); }\n",
-         nullptr},
-        {"nvm read is clean", "nvoverlay/foo.cc",
-         "Cycle f() { return nvm.read(a, now); }\n",
-         nullptr},
-        {"direct nvm write outside nvoverlay is clean",
-         "baselines/foo.cc",
-         "void f() { nvm.write(a, 64, now, k); }\n",
-         nullptr},
-        {"persist-domain allow marker suppresses", "nvoverlay/foo.cc",
-         "void f() { nvm.write(a, 64, now, k); }"
-         "  // nvo-lint: allow(persist-domain)\n",
-         nullptr},
-        {"master insert flagged in nvoverlay", "nvoverlay/foo.cc",
-         "void f() { part.master->insert(key, nvm, e); }\n",
-         "ledger-hook"},
-        {"master erase flagged in nvoverlay", "nvoverlay/foo.cc",
-         "void f() { master.erase(key); }\n",
-         "ledger-hook"},
-        {"undo-lambda mt insert flagged", "nvoverlay/foo.cc",
-         "void f() { d.stage([mt, k] { mt->insert(key, n, e); }); }\n",
-         "ledger-hook"},
-        {"dropHeader flagged in nvoverlay", "nvoverlay/foo.cc",
-         "void f() { part.pool->dropHeader(pe.subPage); }\n",
-         "ledger-hook"},
-        {"master lookup is clean", "nvoverlay/foo.cc",
-         "const Entry *f() { return part.master->lookup(a); }\n",
-         nullptr},
-        {"routed masterInsert call is clean", "nvoverlay/foo.cc",
-         "void f() { auto r = masterInsert(part, a, nvm, e); }\n",
-         nullptr},
-        {"master insert outside nvoverlay is clean",
-         "baselines/foo.cc",
-         "void f() { master.insert(a, nvm, e); }\n",
-         nullptr},
-        {"ledger-hook allow marker suppresses", "nvoverlay/foo.cc",
-         "void f() { pool.dropHeader(s); }"
-         "  // nvo-lint: allow(ledger-hook)\n",
-         nullptr},
         {"untagged master insert flagged", "nvoverlay/foo.cc",
-         "void f() { master.insert(a, nvm, e); }"
-         "  // nvo-lint: allow(ledger-hook)\n",
+         "void f() { master.insert(a, nvm, e); }\n",
          "asid-key"},
         {"keyOf-tagged master insert is clean", "nvoverlay/foo.cc",
-         "void f() { master.insert(tenant::keyOf(a), nvm, e); }"
-         "  // nvo-lint: allow(ledger-hook)\n",
+         "void f() { master.insert(tenant::keyOf(a), nvm, e); }\n",
          nullptr},
         {"asid-named erase argument is clean", "nvoverlay/foo.cc",
-         "void f() { mt->erase(asid_line); }"
-         "  // nvo-lint: allow(ledger-hook)\n",
+         "void f() { mt->erase(asid_line); }\n",
          nullptr},
         {"allocLines without asid flagged", "nvoverlay/foo.cc",
          "void f() { pool.allocLines(4); }\n",
@@ -923,35 +763,6 @@ selfTest()
         {"asid-key allow marker suppresses", "nvoverlay/foo.cc",
          "void f() { pool.allocLines(4); }"
          "  // nvo-lint: allow(asid-key)\n",
-         nullptr},
-        {"unguarded runUntil flagged in par", "par/foo.cc",
-         "void f(Core *c) { c->runUntil(end); }\n",
-         "shard-confinement"},
-        {"unguarded hier access flagged in par", "par/foo.cc",
-         "void f() { hier_->flushAll(vd); }\n",
-         "shard-confinement"},
-        {"guarded runUntil is clean", "par/foo.cc",
-         "void f(Core *c) {\n"
-         "    ShardGuard guard(slot.cap);\n"
-         "    for (unsigned i = 0; i < n; ++i) { c->runUntil(e); }\n"
-         "}\n",
-         nullptr},
-        {"guard scope ends at its closing brace", "par/foo.cc",
-         "void f(Core *c) {\n"
-         "    { ShardGuard guard(slot.cap); c->runUntil(e); }\n"
-         "    c->runUntil(e);\n"
-         "}\n",
-         "shard-confinement"},
-        {"ring traffic needs no guard", "par/foo.cc",
-         "void f(XMsg m) { if (!ring.tryPush(m)) { drops++; } }\n",
-         nullptr},
-        {"runUntil outside par is not this rule's business",
-         "harness/foo.cc",
-         "void f(Core *c) { c->runUntil(end); }\n",
-         nullptr},
-        {"shard-confinement allow marker suppresses", "par/foo.cc",
-         "void f(Core *c) { c->runUntil(end); }"
-         "  // nvo-lint: allow(shard-confinement)\n",
          nullptr},
         {"by-value Histogram flagged in nvoverlay", "nvoverlay/foo.cc",
          "struct S { Histogram walkDepth; };\n",
