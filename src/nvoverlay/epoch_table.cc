@@ -10,81 +10,80 @@
 namespace nvo
 {
 
+namespace
+{
+
+/** Modelled radix node: 512 x 8 B child pointers. */
+constexpr std::uint64_t nodeBytes = 4096;
+/** Modelled leaf descriptor: bitmap + sub-page pointer. */
+constexpr std::uint64_t leafBytes = 16;
+/** Below the root, a page hangs under one modelled node per level:
+ *  the level 1, 2 and 3 nodes are named by its address bits 47..39,
+ *  47..30 and 47..21. */
+constexpr unsigned innerNodeShifts[] = {39, 30, 21};
+
+/** innerNodes key of the node naming @p page_addr's bits above
+ *  @p shift: that prefix, tagged in its (zero) low bits with the
+ *  shift so that prefixes of different levels never collide. */
+Addr
+innerNodeKey(Addr page_addr, unsigned shift)
+{
+    return (page_addr >> shift << shift) | shift;
+}
+
+} // namespace
+
 EpochTable::EpochTable(EpochWide e, PagePool &page_pool,
-                       const Params &params)
+                       const Params &params, std::uint64_t *footprint)
     : epoch_(e), pool(page_pool), p(params),
       hWalk_(obs::metricRegistry().addHist("mnm.insert_walk_depth")),
-      root(new Node)
+      footprint_(footprint)
 {
     nvo_assert(isPow2(p.initLines) && p.initLines >= 1 &&
                p.initLines <= linesPerPage);
     nvo_assert(p.growthFactor >= 2);
+    if (footprint_)
+        *footprint_ += tableBytes();
 }
 
 EpochTable::~EpochTable()
 {
-    destroy(root, 0);
-}
-
-void
-EpochTable::destroy(Node *node, unsigned level)
-{
-    if (level < 3) {
-        for (void *c : node->child)
-            if (c)
-                destroy(static_cast<Node *>(c), level + 1);
-    }
-    // Level-3 children are PageEntry pointers owned by `entries`.
-    delete node;
-}
-
-unsigned
-EpochTable::idxAt(Addr page_addr, unsigned level)
-{
-    // Levels 0..3 consume bits 47..39, 38..30, 29..21, 20..12.
-    unsigned shift = 39 - level * 9;
-    return static_cast<unsigned>((page_addr >> shift) & 0x1ff);
+    if (footprint_)
+        *footprint_ -= tableBytes();
 }
 
 EpochTable::PageEntry *
 EpochTable::findEntry(Addr page_addr) const
 {
-    const Node *node = root;
-    for (unsigned level = 0; level < 3; ++level) {
-        const void *c = node->child[idxAt(page_addr, level)];
-        if (!c)
-            return nullptr;
-        node = static_cast<const Node *>(c);
-    }
-    return static_cast<PageEntry *>(
-        const_cast<void *>(node->child[idxAt(page_addr, 3)]));
+    auto it = index.find(page_addr);
+    return it == index.end() ? nullptr : it->second;
 }
 
 EpochTable::PageEntry *
 EpochTable::findOrCreateEntry(Addr page_addr)
 {
-    Node *node = root;
+    // The modelled radix keys on bits 47..12 only; a wider address
+    // would alias another page in the hardware table.
+    nvo_assert(page_addr >> 48 == 0,
+               "page address does not fit the 48-bit table key");
+    auto [it, fresh] = index.try_emplace(page_addr, nullptr);
     unsigned allocated = 0;
-    for (unsigned level = 0; level < 3; ++level) {
-        void *&c = node->child[idxAt(page_addr, level)];
-        if (!c) {
-            c = new Node;
-            ++nodeCount;
-            ++allocated;
-        }
-        node = static_cast<Node *>(c);
-    }
-    void *&leaf = node->child[idxAt(page_addr, 3)];
-    if (!leaf) {
+    if (fresh) {
+        unsigned nodes = 0;
+        for (unsigned shift : innerNodeShifts)
+            nodes += innerNodes.insert(innerNodeKey(page_addr, shift))
+                         .second;
         entries.push_back(std::make_unique<PageEntry>());
         entries.back()->pageAddr = page_addr;
-        leaf = entries.back().get();
-        ++allocated;
+        it->second = entries.back().get();
+        if (footprint_)
+            *footprint_ += nodes * nodeBytes + leafBytes;
+        allocated = nodes + 1;
     }
     // Fixed-depth radix: 4 nodes visited, plus one "cost" unit per
     // node/leaf allocated on the way down.
     NVO_METRIC(record(hWalk_, 4 + allocated));
-    return static_cast<PageEntry *>(leaf);
+    return it->second;
 }
 
 bool
@@ -113,7 +112,6 @@ EpochTable::grow(PageEntry &pe, const Sinks &sinks)
             sinks.reloc(dst, lineBytes);
         else if (sinks.data)
             sinks.data(dst, lineBytes);
-        relocBytes += lineBytes;
     }
 
     PagePool::SubPageHeader hdr;
@@ -331,9 +329,9 @@ EpochTable::audit() const
 std::uint64_t
 EpochTable::tableBytes() const
 {
-    // Inner nodes are 512 x 8 B; leaf descriptors modelled at 16 B
-    // (bitmap + sub-page pointer), as in the hardware table.
-    return nodeCount * 4096 + entries.size() * 16;
+    // The root plus the inner nodes below it, and one leaf per page.
+    return (1 + innerNodes.size()) * nodeBytes +
+           entries.size() * leafBytes;
 }
 
 } // namespace nvo

@@ -2,13 +2,18 @@
  * @file
  * Per-epoch overlay mapping table (paper Sec. V-C).
  *
- * One instance exists per (OMC partition, epoch): a volatile 4-level
- * radix tree keyed by the 48-bit physical address (9 bits per level,
- * bits 47..12) whose leaves describe one overlay page each — a bitmap
- * of the lines versioned in this epoch plus the NVM sub-page that
- * stores them compactly. Sparse pages occupy power-of-two sub-pages
- * and are relocated to the next size when they outgrow one
- * (Page Overlays Sec. 4.4 behaviour).
+ * One instance exists per (OMC partition, epoch). The modelled
+ * hardware table is a volatile 4-level radix tree keyed by the 48-bit
+ * physical address (9 bits per level, bits 47..12) whose leaves
+ * describe one overlay page each — a bitmap of the lines versioned in
+ * this epoch plus the NVM sub-page that stores them compactly. Sparse
+ * pages occupy power-of-two sub-pages and are relocated to the next
+ * size when they outgrow one (Page Overlays Sec. 4.4 behaviour).
+ *
+ * The radix exists only as a footprint: tableBytes() counts its
+ * 4 KiB nodes and 16 B leaves exactly, while the host finds a page
+ * through a page-keyed hash index, so a table costs host memory in
+ * proportion to the pages it maps.
  */
 
 #ifndef NVO_NVOVERLAY_EPOCH_TABLE_HH
@@ -18,6 +23,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/types.hh"
@@ -74,7 +81,13 @@ class EpochTable
         bool reclaimed = false;
     };
 
-    EpochTable(EpochWide e, PagePool &page_pool, const Params &params);
+    /**
+     * @p footprint, when non-null, is a running total this table keeps
+     * its tableBytes() added into for its whole lifetime (the owning
+     * OMC partition sums its tables this way).
+     */
+    EpochTable(EpochWide e, PagePool &page_pool, const Params &params,
+               std::uint64_t *footprint = nullptr);
     ~EpochTable();
 
     EpochTable(const EpochTable &) = delete;
@@ -117,8 +130,8 @@ class EpochTable
     const PageEntry *pageEntry(Addr page_addr) const;
 
     std::uint64_t versionCount() const { return versions; }
-    std::uint64_t tableBytes() const;   ///< DRAM footprint of the tree
-    std::uint64_t relocatedBytes() const { return relocBytes; }
+    /** DRAM footprint of the modelled radix tree. */
+    std::uint64_t tableBytes() const;
 
     /**
      * Invariant sweep (NVO_AUDIT): every live overlay page maps into
@@ -130,20 +143,11 @@ class EpochTable
     void audit() const;
 
   private:
-    struct Node
-    {
-        std::array<void *, 512> child{};
-    };
-
-    static unsigned idxAt(Addr page_addr, unsigned level);
-
     PageEntry *findEntry(Addr page_addr) const;
     PageEntry *findOrCreateEntry(Addr page_addr);
 
     /** Grow @p pe's sub-page; returns false if the pool is full. */
     bool grow(PageEntry &pe, const Sinks &sinks);
-
-    void destroy(Node *node, unsigned level);
 
     EpochWide epoch_;
     PagePool &pool;
@@ -152,11 +156,16 @@ class EpochTable
      *  findOrCreateEntry); shared across epochs via the registry's
      *  name dedup, so per-epoch construction stays cheap. */
     obs::HistMetric *hWalk_ = nullptr;
-    Node *root;
-    std::uint64_t nodeCount = 1;
+    /** Running total tableBytes() is kept added into (or nullptr). */
+    std::uint64_t *footprint_;
     std::uint64_t versions = 0;
-    std::uint64_t relocBytes = 0;
+    /** Overlay pages in insertion order (iteration order). */
     std::vector<std::unique_ptr<PageEntry>> entries;
+    /** Host lookup index: page address -> its entry. */
+    std::unordered_map<Addr, PageEntry *> index;
+    /** Modelled radix inner nodes below the root, one per distinct
+     *  page-address prefix at bits 47..39, 47..30 and 47..21. */
+    std::unordered_set<Addr> innerNodes;
 };
 
 } // namespace nvo

@@ -57,7 +57,8 @@ MnmBackend::getTable(Part &part, EpochWide e)
     if (it == part.tables.end()) {
         it = part.tables
                  .emplace(e, std::make_unique<EpochTable>(
-                                 e, *part.pool, p.table))
+                                 e, *part.pool, p.table,
+                                 &part.tableBytes))
                  .first;
     }
     return *it->second;
@@ -729,10 +730,12 @@ MnmBackend::audit() const
             return a >= it->first && a + lineBytes <= it->second;
         };
 
+        std::uint64_t table_bytes = 0;
         for (const auto &kv : part.tables) {
             NVO_AUDIT(kv.first == kv.second->epochId(),
                       "epoch table keyed under the wrong epoch");
             kv.second->audit();
+            table_bytes += kv.second->tableBytes();
 
             // Merge completeness: tables at or below rec-epoch were
             // folded into the master when rec-epoch advanced (or, for
@@ -755,6 +758,11 @@ MnmBackend::audit() const
                               "merged table");
                 });
         }
+        // updateStats reports the running footprint; it must equal a
+        // rescan of every retained table.
+        NVO_AUDIT(part.tableBytes == table_bytes,
+                  "running epoch-table footprint diverged from its "
+                  "tables");
 
         part.master->forEach(
             [this, i, &part, &in_live_sub_page](
@@ -833,8 +841,7 @@ MnmBackend::epochTableBytesTotal() const
 {
     std::uint64_t total = 0;
     for (const auto &part : parts)
-        for (const auto &kv : part.tables)
-            total += kv.second->tableBytes();
+        total += part.tableBytes;
     return total;
 }
 

@@ -239,6 +239,11 @@ class MnmBackend
     {
         std::unique_ptr<PagePool> pool;
         std::unique_ptr<MasterTable> master;
+        /** Running tableBytes() sum of `tables`: each table adds its
+         *  footprint changes here (declared before `tables`, so it
+         *  outlives the tables that subtract themselves on
+         *  destruction). */
+        std::uint64_t tableBytes = 0;
         std::map<EpochWide, std::unique_ptr<EpochTable>> tables;
         std::unique_ptr<OmcBuffer> buffer;
         std::uint64_t pendingMetaBytes = 0;

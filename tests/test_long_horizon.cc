@@ -3,11 +3,20 @@
  * Long-horizon integration tests: epoch counts crossing the 16-bit
  * group boundary under live traffic (Sec. IV-D wrap-around scheme),
  * version compaction triggered by real pool pressure, and recovery
- * correctness in both regimes.
+ * correctness in both regimes; plus the host-cost contract of a
+ * high-frequency run: per-epoch table accounting stays exact, and
+ * host time grows with the epochs run, not with retained history.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ctime>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/audit.hh"
 #include "common/log.hh"
 #include "harness/experiment.hh"
 #include "harness/system.hh"
@@ -54,6 +63,127 @@ checkTheorem(System &sys, NVOverlayScheme &scheme)
     }
     EXPECT_EQ(mismatches, 0u);
     EXPECT_GT(checked, 0u);
+}
+
+/** One VD epoch per store on hashtable: ~11 k epochs at wl.ops=250. */
+Config
+hifreqConfig(std::uint64_t ops)
+{
+    Config cfg = horizonConfig();
+    cfg.set("nvo.stores_per_epoch_vd", std::uint64_t(1));
+    cfg.set("wl.ops", ops);
+    return cfg;
+}
+
+/** Sum of tableBytes() over every retained per-epoch table: the scan
+ *  the backend's running footprint stands in for. */
+std::uint64_t
+scannedTableBytes(NVOverlayScheme &scheme)
+{
+    MnmBackend &backend = scheme.backend();
+    std::uint64_t total = 0;
+    for (unsigned o = 0; o < backend.numOmcs(); ++o)
+        for (EpochWide e = 0; e <= scheme.globalEpoch(); ++e)
+            if (const EpochTable *t = backend.epochTable(o, e))
+                total += t->tableBytes();
+    return total;
+}
+
+TEST(LongHorizon, RunningTableFootprintMatchesRescan)
+{
+    setQuiet(true);
+    const std::vector<
+        std::pair<std::string,
+                  std::vector<std::pair<std::string, std::string>>>>
+        regimes = {
+            {"retain", {}},
+            {"drop_merged", {{"mnm.drop_merged_tables", "true"}}},
+            {"compaction",
+             {{"sys.llc_slices", "1"},
+              {"mnm.pool_mb_per_omc", "1"},
+              {"mnm.compaction_threshold", "0.7"},
+              {"mnm.auto_reclaim", "true"}}},
+        };
+    for (const auto &[name, knobs] : regimes) {
+        SCOPED_TRACE(name);
+        Config cfg = hifreqConfig(250);
+        for (const auto &[key, value] : knobs)
+            cfg.set(key, value);
+        System sys(cfg, "nvoverlay", "hashtable");
+        auto &scheme = dynamic_cast<NVOverlayScheme &>(sys.scheme());
+        MnmBackend &backend = scheme.backend();
+        // Check mid-run, while tables are created, merged, dropped
+        // and compacted, not only at the end (the run is ~420 k
+        // cycles).
+        unsigned checkpoints = 0;
+        for (Cycle limit = 50000; !sys.runUntil(limit); limit += 50000) {
+            const std::uint64_t scanned = scannedTableBytes(scheme);
+            EXPECT_GT(scanned, 0u);
+            EXPECT_EQ(backend.epochTableBytesTotal(), scanned);
+            ++checkpoints;
+        }
+        EXPECT_GE(checkpoints, 5u);
+        sys.run();
+        EXPECT_EQ(backend.epochTableBytesTotal(),
+                  scannedTableBytes(scheme));
+        EXPECT_EQ(sys.stats().epochTableBytes,
+                  scannedTableBytes(scheme));
+        if (name == "compaction") {
+            EXPECT_GT(sys.stats().gcCompactions, 0u);
+        }
+
+        if (name != "retain")
+            continue;
+        // Power failure: the volatile tables die and are re-adopted
+        // from the persistent sub-page headers.
+        backend.crashReset();
+        const std::uint64_t rebuilt = scannedTableBytes(scheme);
+        EXPECT_GT(rebuilt, 0u);
+        EXPECT_EQ(backend.epochTableBytesTotal(), rebuilt);
+        backend.dropVolatileTables();
+        EXPECT_EQ(backend.epochTableBytesTotal(), 0u);
+        backend.rebuildTables();
+        EXPECT_EQ(backend.epochTableBytesTotal(), rebuilt);
+        backend.updateStats();
+        EXPECT_EQ(sys.stats().epochTableBytes, rebuilt);
+    }
+}
+
+/** Best-of-@p reps process CPU seconds to build and run @p cfg;
+ *  reports the epochs the run completed through @p epochs. */
+double
+bestCpuSeconds(const Config &cfg, int reps, std::uint64_t &epochs)
+{
+    double best = 0;
+    for (int r = 0; r < reps; ++r) {
+        const std::clock_t start = std::clock();
+        System sys(cfg, "nvoverlay", "hashtable");
+        sys.run();
+        const double cpu =
+            static_cast<double>(std::clock() - start) / CLOCKS_PER_SEC;
+        best = r == 0 ? cpu : std::min(best, cpu);
+        epochs = sys.scheme().epochsCompleted();
+    }
+    return best;
+}
+
+TEST(LongHorizon, HostCostGrowsWithEpochsNotHistory)
+{
+    // Full audit sweeps walk every retained table by design.
+    if (audit::enabled)
+        GTEST_SKIP() << "audit sweeps scale with retained history";
+    setQuiet(true);
+    // Process CPU time, best of three, is robust to co-scheduled load;
+    // the assertion is a ratio, so it is robust to host speed.
+    std::uint64_t small_epochs = 0, big_epochs = 0;
+    const double small = bestCpuSeconds(hifreqConfig(250), 3,
+                                        small_epochs);
+    const double big = bestCpuSeconds(hifreqConfig(1000), 3, big_epochs);
+    ASSERT_GE(big_epochs, 3.5 * static_cast<double>(small_epochs))
+        << "the larger run must complete ~4x the epochs";
+    EXPECT_LE(big, 8.0 * small)
+        << small_epochs << " epochs took " << small << " s of CPU, "
+        << big_epochs << " epochs took " << big << " s";
 }
 
 TEST(LongHorizon, EpochsCrossTheGroupBoundary)

@@ -146,13 +146,56 @@ TEST_F(EpochTableTest, PoolExhaustionReturnsFalse)
 
 TEST_F(EpochTableTest, TableBytesGrowWithFootprint)
 {
-    std::uint64_t empty = table->tableBytes();
+    // The modelled 4-level radix: 4 KiB nodes, 16 B leaf descriptors.
+    constexpr std::uint64_t node = 4096, leaf = 16;
+    std::uint64_t bytes = node;   // the root
+    EXPECT_EQ(table->tableBytes(), bytes);
     table->insert(0x1000, 1, lineOf(1), sinks);
-    std::uint64_t one = table->tableBytes();
-    EXPECT_GT(one, empty);
-    // A second insert in a distant region adds radix nodes.
-    table->insert(0x1000000000, 2, lineOf(1), sinks);
-    EXPECT_GT(table->tableBytes(), one);
+    bytes += 3 * node + leaf;     // a node at every level below the root
+    EXPECT_EQ(table->tableBytes(), bytes);
+    table->insert(0x2000, 2, lineOf(1), sinks);
+    bytes += leaf;                // same 2 MiB region
+    EXPECT_EQ(table->tableBytes(), bytes);
+    table->insert(0x2000, 3, lineOf(2), sinks);
+    table->insert(0x2040, 4, lineOf(2), sinks);
+    EXPECT_EQ(table->tableBytes(), bytes) << "pages already mapped";
+    table->insert(0x200000, 5, lineOf(1), sinks);
+    bytes += node + leaf;         // same 1 GiB, new 2 MiB region
+    EXPECT_EQ(table->tableBytes(), bytes);
+    table->insert(0x40000000, 6, lineOf(1), sinks);
+    bytes += 2 * node + leaf;     // same 512 GiB, new 1 GiB region
+    EXPECT_EQ(table->tableBytes(), bytes);
+    table->insert(0x8000000000, 7, lineOf(1), sinks);
+    bytes += 3 * node + leaf;     // new 512 GiB region
+    EXPECT_EQ(table->tableBytes(), bytes);
+}
+
+TEST_F(EpochTableTest, FootprintCounterFollowsTableLifetime)
+{
+    std::uint64_t footprint = 0;
+    {
+        EpochTable t(3, pool, EpochTable::Params{}, &footprint);
+        EXPECT_EQ(footprint, t.tableBytes());
+        for (Addr a : {0x1000ull, 0x1040ull, 0x3000ull, 0x200000ull,
+                       0x8000000000ull})
+            ASSERT_TRUE(t.insert(a, 1, lineOf(1), sinks));
+        EXPECT_EQ(footprint, t.tableBytes());
+        EpochTable other(4, pool, EpochTable::Params{}, &footprint);
+        other.insert(0x5000, 1, lineOf(1), sinks);
+        EXPECT_EQ(footprint, t.tableBytes() + other.tableBytes());
+    }
+    EXPECT_EQ(footprint, 0u) << "destroyed tables subtract themselves";
+}
+
+TEST(EpochTableDeathTest, PageAddressBeyond48BitsIsRejected)
+{
+    PagePool pool(poolBase, 16 * pageBytes);
+    EpochTable t(1, pool, EpochTable::Params{});
+    EpochTable::Sinks sinks;
+    // Bit 48 lies outside the modelled radix key (bits 47..12): the
+    // hardware table would alias the page onto page 0x1000.
+    EXPECT_DEATH(t.insert((1ull << 48) | 0x1000, 1, lineOf(1), sinks),
+                 "48-bit table key");
 }
 
 TEST(MasterTable, InsertLookupReplace)

@@ -212,13 +212,27 @@ TEST_F(MnmTest, FinalizeFlushesMetadataAndRecEpoch)
 TEST_F(MnmTest, UpdateStatsAggregates)
 {
     backend->insertVersion(0x1000, 1, ++seq, lineOf(1), 0);
+    backend->insertVersion(0x1040, 1, ++seq, lineOf(1), 0);
+    backend->insertVersion(0x1000, 2, ++seq, lineOf(2), 0);
+    backend->insertVersion(0x40201000, 3, ++seq, lineOf(3), 0);
     backend->reportMinVer(0, 2, 0);
     backend->reportMinVer(1, 2, 0);
     backend->updateStats();
     EXPECT_GT(stats.masterTableBytes, 0u);
-    EXPECT_EQ(stats.masterMappedLines, 1u);
-    EXPECT_GT(stats.epochTableBytes, 0u);
+    EXPECT_EQ(stats.masterMappedLines, 2u);
     EXPECT_GT(stats.poolPagesInUse, 0u);
+    // The running footprint equals a rescan of every table.
+    std::uint64_t scanned = 0;
+    unsigned tables = 0;
+    for (unsigned o = 0; o < backend->numOmcs(); ++o)
+        for (EpochWide e = 0; e <= 3; ++e)
+            if (EpochTable *t = backend->epochTable(o, e)) {
+                scanned += t->tableBytes();
+                ++tables;
+            }
+    EXPECT_EQ(tables, 4u);
+    EXPECT_EQ(stats.epochTableBytes, scanned);
+    EXPECT_EQ(backend->epochTableBytesTotal(), scanned);
 }
 
 TEST_F(MnmTest, CompactionReclaimsStaleEpochs)
