@@ -151,7 +151,7 @@ Hierarchy::l2AcceptVersion(unsigned vd, Addr line_addr, EpochWide oid,
     line->oid = oid;
     line->seq = seq;
     line->sealedData = std::move(sealed);
-    line->state = CohState::M;
+    l2c.setModified(*line);
     return stall;
 }
 
@@ -260,13 +260,19 @@ CacheLine *
 Hierarchy::fillL2(unsigned vd, Addr addr, CohState st, EpochWide oid,
                   SeqNo seq, bool dirty, Cycle now)
 {
-    CacheArray &arr = l2s[vd]->array();
+    L2Cache &l2c = *l2s[vd];
+    CacheArray &arr = l2c.array();
     CacheLine *slot = arr.allocSlot(addr);
     if (slot->valid())
         handleL2Victim(vd, *slot, now);
+    else
+        l2c.countFill();
     slot->reset();
     slot->addr = addr;
-    slot->state = st;
+    if (st == CohState::M)
+        l2c.setModified(*slot);
+    else
+        slot->state = st;
     slot->oid = oid;
     slot->seq = seq;
     slot->dirty = dirty;
@@ -349,7 +355,7 @@ Hierarchy::invalidateVd(unsigned vd, Addr addr, Cycle now)
         if (l1_line)
             l1_line->reset();
     }
-    l2_line->reset();
+    l2c.invalidate(*l2_line);
     return result;
 }
 
@@ -628,7 +634,7 @@ Hierarchy::store(unsigned core, Addr addr, const void *data,
                 l2_line->dirty = false;
         }
         L2Cache::addSharer(*l2_line, l2c.localIdx(core));
-        l2_line->state = CohState::M;
+        l2c.setModified(*l2_line);
     }
 
     // --- Version access protocol at the L1 (paper Sec. IV-A1) ---
@@ -686,7 +692,7 @@ Hierarchy::store(unsigned core, Addr addr, const void *data,
     // The L2 copy keeps ownership (the VD holds dirty data above).
     CacheLine *l2_line = l2c.array().probe(line_addr);
     nvo_assert(l2_line != nullptr);
-    l2_line->state = CohState::M;
+    l2c.setModified(*l2_line);
 
     if (wtracker) {
         LineData cur_data;
@@ -703,9 +709,11 @@ Hierarchy::tagWalkScan(unsigned vd)
     EpochWide cur = curEpoch(vd);
     scan.minVer = cur;
     L2Cache &l2c = *l2s[vd];
+    // The modelled walker reads every valid tag; the host visits only
+    // lines in M, the others being inert (see the declaration).
+    scan.linesScanned = l2c.numValid();
 
-    l2c.array().forEachValid([&](CacheLine &line) {
-        ++scan.linesScanned;
+    l2c.forEachModified([&](CacheLine &line) {
         Addr addr = line.addr;
         bool any_dirty_left = false;
 
@@ -930,12 +938,6 @@ Hierarchy::checkInvariants(bool quiescent) const
             });
     }
 
-    // 3. Directory: owner exclusivity.
-    for (const auto &sl : slices) {
-        // Directory owned by slice; validated through VD loops above.
-        (void)sl;
-    }
-
     return err.str();
 }
 
@@ -974,6 +976,27 @@ Hierarchy::audit() const
         l2s[vd]->array().forEachValid([&](const CacheLine &line) {
             NVO_AUDIT(!line.dirty || line.oid <= cur,
                       "dirty L2 OID ahead of its VD's epoch");
+            if (line.state != CohState::M) {
+                // Inert for the tag walk, which skips it: no version
+                // to collect here or in an L1 copy, and no newer L1
+                // OID for the slot to adopt.
+                NVO_AUDIT(!line.dirty && !line.sealed(),
+                          "dirty or sealed L2 line outside M");
+                for (unsigned i = 0; i < p.coresPerVd; ++i) {
+                    if (!L2Cache::hasSharer(line, i))
+                        continue;
+                    const CacheLine *l1_line =
+                        l1s[vd * p.coresPerVd + i]->array().probe(
+                            line.addr);
+                    NVO_AUDIT(!l1_line || !(l1_line->state ==
+                                                CohState::M &&
+                                            l1_line->dirty),
+                              "dirty L1 copy in M under an L2 line "
+                              "outside M");
+                    NVO_AUDIT(!l1_line || l1_line->oid <= line.oid,
+                              "L1 copy newer than its L2 line outside M");
+                }
+            }
             if (!line.sealed())
                 return;
             // A sealed payload exists only because a newer version

@@ -115,6 +115,13 @@ class Hierarchy
      * min-ver (smallest dirty OID encountered, initialized to the
      * VD's epoch). The caller (the tag walker) drains the collected
      * versions to the OMC over time.
+     *
+     * The host visits only the L2 slots marked modified (the L2's
+     * walk set), in slot order. That is exact: a valid L2 line outside
+     * M is clean and unsealed, and no L1 copy of it is dirty in M or
+     * carries a newer OID, so visiting it would change nothing
+     * (audited). `linesScanned` still counts every valid tag the
+     * modelled walker reads.
      */
     struct WalkVersion
     {

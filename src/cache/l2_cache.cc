@@ -9,7 +9,9 @@ namespace nvo
 L2Cache::L2Cache(const Params &params, unsigned vd_id,
                  unsigned cores_per_vd)
     : arr(params.sizeBytes, params.ways), lat(params.latency), vd(vd_id),
-      localCores(cores_per_vd)
+      localCores(cores_per_vd),
+      walkSet((static_cast<std::size_t>(arr.numSets()) * arr.numWays() +
+               63) / 64)
 {
     nvo_assert(cores_per_vd <= 16, "sharer bitmask is 16 bits wide");
 }
@@ -40,6 +42,37 @@ L2Cache::hasSharer(const CacheLine &line, unsigned local_idx)
     return (line.sharers >> local_idx) & 1u;
 }
 
+std::size_t
+L2Cache::slotOf(const CacheLine &line) const
+{
+    // The array keeps its slots in one set-major vector.
+    const CacheLine *base = const_cast<CacheArray &>(arr).setBase(0);
+    return static_cast<std::size_t>(&line - base);
+}
+
+void
+L2Cache::setModified(CacheLine &line)
+{
+    line.state = CohState::M;
+    const std::size_t idx = slotOf(line);
+    walkSet[idx / 64] |= std::uint64_t(1) << (idx % 64);
+}
+
+bool
+L2Cache::inWalkSet(const CacheLine &line) const
+{
+    const std::size_t idx = slotOf(line);
+    return (walkSet[idx / 64] >> (idx % 64)) & 1u;
+}
+
+void
+L2Cache::invalidate(CacheLine &line)
+{
+    nvo_assert(line.valid());
+    arr.invalidate(&line);
+    --validSlots;
+}
+
 void
 L2Cache::audit() const
 {
@@ -48,12 +81,16 @@ L2Cache::audit() const
     arr.audit();
     const std::uint16_t local_mask =
         static_cast<std::uint16_t>((1u << localCores) - 1);
-    arr.forEachValid([local_mask](const CacheLine &line) {
+    arr.forEachValid([this, local_mask](const CacheLine &line) {
         NVO_AUDIT((line.sharers & ~local_mask) == 0,
                   "sharer bit outside the VD's local L1s");
         NVO_AUDIT(!line.sealed() || line.dirty,
                   "sealed but clean L2 line");
+        NVO_AUDIT(line.state != CohState::M || inWalkSet(line),
+                  "L2 line in M outside the walk set");
     });
+    NVO_AUDIT(validSlots == arr.numValid(),
+              "running L2 valid count disagrees with the array");
 }
 
 std::vector<unsigned>

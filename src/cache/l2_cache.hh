@@ -1,13 +1,18 @@
 /**
  * @file
  * Per-VD shared, inclusive L2 cache. Besides the tag/data array it
- * carries the intra-VD directory: each line's `sharers` field is a
- * bitmask of the local L1s holding a copy.
+ * carries the intra-VD directory (each line's `sharers` field is a
+ * bitmask of the local L1s holding a copy) and the tag walk's walk set
+ * (one bit per slot, set when the slot's line enters M).
  */
 
 #ifndef NVO_CACHE_L2_CACHE_HH
 #define NVO_CACHE_L2_CACHE_HH
 
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_array.hh"
@@ -45,18 +50,64 @@ class L2Cache
     std::vector<unsigned> sharerList(const CacheLine &line) const;
 
     /**
+     * Put @p line in M and add its slot to the walk set. Every
+     * transition of an L2 line into M goes through here: only a line
+     * in M can hold a version the tag walk collects, so the walk
+     * visits marked slots only (Hierarchy::tagWalkScan).
+     */
+    void setModified(CacheLine &line);
+
+    /**
+     * Call @p fn on every line in M, in slot order (the order of
+     * CacheArray::forEachValid), visiting only the walk set. @p fn may
+     * take the line out of M; a line it leaves in M stays in the set.
+     */
+    template <typename Fn>
+    void
+    forEachModified(Fn &&fn)
+    {
+        CacheLine *slots = arr.setBase(0);
+        for (std::size_t w = 0; w < walkSet.size(); ++w) {
+            for (std::uint64_t bits = std::exchange(walkSet[w], 0);
+                 bits != 0; bits &= bits - 1) {
+                CacheLine &line = slots[w * 64 + std::countr_zero(bits)];
+                if (line.state != CohState::M)
+                    continue;   // left M since it was marked
+                fn(line);
+                if (line.state == CohState::M)
+                    setModified(line);
+            }
+        }
+    }
+
+    /** Count a fill into a previously invalid slot. */
+    void countFill() { ++validSlots; }
+
+    /** Invalidate @p line (external invalidation) and uncount it. */
+    void invalidate(CacheLine &line);
+
+    /** Valid slots, kept as a running count (no array scan). */
+    unsigned numValid() const { return validSlots; }
+
+    /**
      * Invariant sweep (NVO_AUDIT): array structure is sound, sharer
-     * masks stay within the VD's local L1 population, and sealed
+     * masks stay within the VD's local L1 population, sealed
      * versions are dirty (a sealed payload is an immutable old-epoch
-     * version awaiting write-back, Fig. 4).
+     * version awaiting write-back, Fig. 4), the running valid count
+     * matches the array, and every line in M is in the walk set.
      */
     void audit() const;
 
   private:
+    std::size_t slotOf(const CacheLine &line) const;
+    bool inWalkSet(const CacheLine &line) const;
+
     CacheArray arr;
     Cycle lat;
     unsigned vd;
     unsigned localCores;
+    unsigned validSlots = 0;
+    std::vector<std::uint64_t> walkSet;
 };
 
 } // namespace nvo

@@ -26,20 +26,6 @@ LlcSlice::dirProbe(Addr line_addr)
 }
 
 void
-LlcSlice::dirErase(Addr line_addr)
-{
-    directory.erase(line_addr);
-}
-
-void
-LlcSlice::forEachDirEntry(
-    const std::function<void(Addr, const DirEntry &)> &fn) const
-{
-    for (const auto &kv : directory)
-        fn(kv.first, kv.second);
-}
-
-void
 LlcSlice::audit() const
 {
     if (!audit::enabled)

@@ -13,7 +13,6 @@
 #define NVO_CACHE_LLC_HH
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 
 #include "cache/cache_array.hh"
@@ -60,14 +59,7 @@ class LlcSlice
     /** Directory entry if it exists, else nullptr. */
     DirEntry *dirProbe(Addr line_addr);
 
-    /** Remove an empty directory entry. */
-    void dirErase(Addr line_addr);
-
     std::size_t dirSize() const { return directory.size(); }
-
-    /** Visit every directory entry: fn(line_addr, entry). */
-    void forEachDirEntry(
-        const std::function<void(Addr, const DirEntry &)> &fn) const;
 
     /**
      * Invariant sweep (NVO_AUDIT): array structure is sound, no LLC

@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/hierarchy.hh"
 #include "common/audit.hh"
 #include "common/log.hh"
 #include "harness/experiment.hh"
 #include "harness/system.hh"
+#include "mem/backing_store.hh"
+#include "mem/dram_model.hh"
 #include "mem/nvm_model.hh"
 #include "nvoverlay/epoch_table.hh"
 #include "nvoverlay/nvoverlay_scheme.hh"
@@ -212,6 +215,31 @@ TEST(AuditDeath, BackendCorruptPoolIsCaught)
     // so `sub` is the block base the allocator handed out).
     backend.pool(omc).freeLines(sub, 4, 0);
     EXPECT_DEATH(backend.audit(), "audit failure");
+}
+
+TEST(AuditDeath, L2LineInMOutsideWalkSetIsCaught)
+{
+    RunStats stats;
+    BackingStore backing;
+    DramModel dram(DramModel::Params{}, &stats);
+    Hierarchy::Params p;
+    p.numCores = 2;
+    p.coresPerVd = 2;
+    p.numLlcSlices = 1;
+    p.l1.sizeBytes = 4 * 1024;
+    p.l2.sizeBytes = 16 * 1024;
+    p.llc.sliceBytes = 64 * 1024;
+    Hierarchy hier(p, backing, dram, stats);
+    const Addr x = 0x10000;
+    hier.load(0, x, 0);   // sole sharer: the L2 grants E
+    hier.audit();         // healthy so far
+    CacheLine *line = hier.l2(0).array().probe(x);
+    ASSERT_NE(line, nullptr);
+    ASSERT_EQ(line->state, CohState::E);
+    // Seeded corruption: M set without L2Cache::setModified, so the
+    // tag walk, which visits only the walk set, would skip the line.
+    line->state = CohState::M;
+    EXPECT_DEATH(hier.audit(), "outside the walk set");
 }
 
 #else // !NVO_AUDIT_ENABLED

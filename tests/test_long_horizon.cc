@@ -186,6 +186,60 @@ TEST(LongHorizon, HostCostGrowsWithEpochsNotHistory)
         << big_epochs << " epochs took " << big << " s";
 }
 
+/** The perfbench `hashtable_hifreq` config at wl.ops=500: Table II
+ *  (16 cores, 8 VDs) with a VD epoch every 8 stores, ~7 k epochs;
+ *  @p l2_kb sets the per-VD L2. */
+Config
+tableTwoHifreqConfig(std::uint64_t l2_kb)
+{
+    Config cfg = defaultConfig();
+    cfg.set("nvo.stores_per_epoch_vd", std::uint64_t(8));
+    cfg.set("wl.ops", std::uint64_t(500));
+    cfg.set("l2.kb", l2_kb);
+    return cfg;
+}
+
+/** Best-of-@p reps process CPU seconds of run() alone (construction
+ *  allocates every cache slot, so it scales with capacity by design);
+ *  reports the epochs the run completed through @p epochs. */
+double
+bestRunCpuSeconds(const Config &cfg, int reps, std::uint64_t &epochs)
+{
+    double best = 0;
+    for (int r = 0; r < reps; ++r) {
+        System sys(cfg, "nvoverlay", "hashtable");
+        const std::clock_t start = std::clock();
+        sys.run();
+        const double cpu =
+            static_cast<double>(std::clock() - start) / CLOCKS_PER_SEC;
+        best = r == 0 ? cpu : std::min(best, cpu);
+        epochs = sys.scheme().epochsCompleted();
+    }
+    return best;
+}
+
+TEST(LongHorizon, WalkCostIndependentOfL2Capacity)
+{
+    // Full audit sweeps scan every cache slot by design.
+    if (audit::enabled)
+        GTEST_SKIP() << "audit sweeps scale with cache capacity";
+    setQuiet(true);
+    // A tag walk runs after every epoch advance. Its host cost must
+    // follow the lines the epoch wrote, not the L2's slot count, so
+    // a 16x larger L2 must leave the run's CPU time nearly flat.
+    std::uint64_t small_epochs = 0, big_epochs = 0;
+    const double small =
+        bestRunCpuSeconds(tableTwoHifreqConfig(256), 3, small_epochs);
+    const double big =
+        bestRunCpuSeconds(tableTwoHifreqConfig(4096), 3, big_epochs);
+    ASSERT_NEAR(static_cast<double>(big_epochs),
+                static_cast<double>(small_epochs), 0.05 * small_epochs)
+        << "both runs must do about the same epoch work";
+    EXPECT_LE(big, 1.5 * small)
+        << "run() took " << small << " s of CPU with a 256 KB L2 and "
+        << big << " s with a 4096 KB L2";
+}
+
 TEST(LongHorizon, EpochsCrossTheGroupBoundary)
 {
     setQuiet(true);

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <tuple>
 
 #include "cache/hierarchy.hh"
 #include "common/rng.hh"
@@ -391,6 +394,210 @@ TEST_P(VersionProtocolProperty, RandomTrafficCorrectness)
     }
     EXPECT_EQ(mismatches, 0u);
     EXPECT_GT(newest.size(), 100u) << "test exercised real traffic";
+}
+
+/** One hierarchy with its own memory image and epoch controller. */
+struct WalkRig
+{
+    static Hierarchy::Params
+    params()
+    {
+        Hierarchy::Params p;
+        p.numCores = 8;
+        p.coresPerVd = 2;
+        p.numLlcSlices = 2;
+        p.l1.sizeBytes = 2 * 1024;
+        p.l2.sizeBytes = 8 * 1024;
+        p.llc.sliceBytes = 32 * 1024;
+        return p;
+    }
+
+    WalkRig()
+        : dram(DramModel::Params{}, &stats), ctrl(4),
+          hier(params(), backing, dram, stats)
+    {
+        hier.setVersionCtrl(&ctrl);
+    }
+
+    RunStats stats;
+    BackingStore backing;
+    DramModel dram;
+    MockCtrl ctrl;
+    Hierarchy hier;
+};
+
+/**
+ * Reference tag walk: the full scan that visits every valid L2 line
+ * of VD @p vd, built from public accessors only. tagWalkScan visits
+ * the walk set instead and must produce the same result.
+ */
+Hierarchy::WalkScan
+fullScanWalk(WalkRig &rig, unsigned vd)
+{
+    Hierarchy &hier = rig.hier;
+    const unsigned per_vd = hier.numCores() / hier.numVds();
+    Hierarchy::WalkScan scan;
+    const EpochWide cur = rig.ctrl.vdEpoch(vd);
+    scan.minVer = cur;
+    auto collect = [&](Addr addr, EpochWide oid, SeqNo seq,
+                       const LineData *sealed) {
+        scan.minVer = std::min(scan.minVer, oid);
+        Hierarchy::WalkVersion v;
+        v.addr = addr;
+        v.oid = oid;
+        v.seq = seq;
+        if (sealed)
+            v.content = *sealed;
+        else
+            rig.backing.readLine(addr, v.content);
+        scan.versions.push_back(std::move(v));
+    };
+    hier.l2(vd).array().forEachValid([&](CacheLine &line) {
+        ++scan.linesScanned;
+        bool any_dirty_left = false;
+        for (unsigned i = 0; i < per_vd; ++i) {
+            if (!L2Cache::hasSharer(line, i))
+                continue;
+            CacheLine *l1 =
+                hier.l1(vd * per_vd + i).array().probe(line.addr);
+            ASSERT_NE(l1, nullptr);
+            if (l1->state != CohState::M || !l1->dirty)
+                continue;
+            if (l1->oid < cur) {
+                collect(line.addr, l1->oid,
+                        rig.backing.lineSeq(line.addr), nullptr);
+                l1->dirty = false;
+                l1->state = CohState::E;
+            } else {
+                any_dirty_left = true;
+            }
+        }
+        if (line.dirty) {
+            if (line.oid < cur) {
+                collect(line.addr, line.oid,
+                        line.sealed() ? line.seq
+                                      : rig.backing.lineSeq(line.addr),
+                        line.sealedData.get());
+                line.dirty = false;
+                line.sealedData.reset();
+            } else {
+                any_dirty_left = true;
+            }
+        }
+        if (!line.dirty) {
+            for (unsigned i = 0; i < per_vd; ++i) {
+                if (!L2Cache::hasSharer(line, i))
+                    continue;
+                const CacheLine *l1 =
+                    hier.l1(vd * per_vd + i).array().probe(line.addr);
+                if (l1 && l1->oid > line.oid) {
+                    line.oid = l1->oid;
+                    line.seq = l1->seq;
+                }
+            }
+        }
+        if (!any_dirty_left && line.state == CohState::M)
+            line.state = CohState::E;
+    });
+    return scan;
+}
+
+/** First slot whose (addr, state, dirty, oid, seq, sealed) differs
+ *  between two arrays of the same geometry, or "" if none. */
+std::string
+firstLineDiff(CacheArray &a, CacheArray &b)
+{
+    auto key = [](const CacheLine &l) {
+        return std::make_tuple(l.addr, l.state, l.dirty, l.oid, l.seq,
+                               l.sealed());
+    };
+    for (unsigned set = 0; set < a.numSets(); ++set)
+        for (unsigned w = 0; w < a.numWays(); ++w)
+            if (key(a.setBase(set)[w]) != key(b.setBase(set)[w]))
+                return "set " + std::to_string(set) + " way " +
+                       std::to_string(w);
+    return "";
+}
+
+/**
+ * The walk-set scan against the full scan it replaced: two
+ * hierarchies see identical random traffic and epoch advances; one
+ * is walked by tagWalkScan, the other by fullScanWalk. After every
+ * walk the collected versions (in order), min-ver, the scanned-line
+ * count and every L1 and L2 line must agree.
+ */
+TEST_P(VersionProtocolProperty, WalkSetMatchesFullScan)
+{
+    WalkRig fast, full;
+    Rng rng(GetParam() * 16127 + 3);
+    unsigned walks = 0, collected = 0;
+    for (int i = 0; i < 30000; ++i) {
+        unsigned core = static_cast<unsigned>(rng.below(8));
+        unsigned vd = core / 2;
+        Addr a = 0x200000 + lineAlign(rng.below(600) * 64);
+        if (rng.chance(0.01)) {
+            EpochWide step = 1 + rng.below(3);
+            fast.ctrl.epochs[vd] += step;
+            full.ctrl.epochs[vd] += step;
+        }
+        if (rng.chance(0.02)) {
+            unsigned wvd = static_cast<unsigned>(rng.below(4));
+            auto got = fast.hier.tagWalkScan(wvd);
+            auto want = fullScanWalk(full, wvd);
+            ++walks;
+            collected += static_cast<unsigned>(want.versions.size());
+            ASSERT_EQ(got.minVer, want.minVer) << "op " << i;
+            ASSERT_EQ(got.linesScanned, want.linesScanned) << "op " << i;
+            ASSERT_EQ(got.versions.size(), want.versions.size())
+                << "op " << i;
+            for (std::size_t k = 0; k < got.versions.size(); ++k) {
+                const auto &g = got.versions[k];
+                const auto &w = want.versions[k];
+                ASSERT_EQ(std::make_tuple(g.addr, g.oid, g.seq,
+                                          g.content.digest()),
+                          std::make_tuple(w.addr, w.oid, w.seq,
+                                          w.content.digest()))
+                    << "op " << i << " version " << k;
+            }
+            for (unsigned c = 0; c < 8; ++c)
+                ASSERT_EQ(firstLineDiff(fast.hier.l1(c).array(),
+                                        full.hier.l1(c).array()),
+                          "")
+                    << "L1 " << c << " after the walk at op " << i;
+            for (unsigned v = 0; v < 4; ++v)
+                ASSERT_EQ(firstLineDiff(fast.hier.l2(v).array(),
+                                        full.hier.l2(v).array()),
+                          "")
+                    << "L2 " << v << " after the walk at op " << i;
+            for (const auto &v : got.versions)
+                fast.ctrl.acceptVersion(wvd, v.addr, v.oid, v.seq,
+                                        v.content, EvictReason::TagWalk,
+                                        0);
+            for (const auto &v : want.versions)
+                full.ctrl.acceptVersion(wvd, v.addr, v.oid, v.seq,
+                                        v.content, EvictReason::TagWalk,
+                                        0);
+        }
+        bool is_store = rng.chance(0.45);
+        for (WalkRig *rig : {&fast, &full}) {
+            if (is_store)
+                rig->hier.store(core, a, nullptr, 8, 0);
+            else
+                rig->hier.load(core, a, 0);
+        }
+    }
+    // Every version that left either hierarchy, walked or evicted.
+    EXPECT_EQ(fast.ctrl.epochs, full.ctrl.epochs);
+    ASSERT_EQ(fast.ctrl.accepted.size(), full.ctrl.accepted.size());
+    for (std::size_t k = 0; k < fast.ctrl.accepted.size(); ++k) {
+        const auto &g = fast.ctrl.accepted[k];
+        const auto &w = full.ctrl.accepted[k];
+        ASSERT_EQ(std::make_tuple(g.addr, g.oid, g.seq, g.digest, g.why),
+                  std::make_tuple(w.addr, w.oid, w.seq, w.digest, w.why))
+            << "accepted version " << k;
+    }
+    EXPECT_GT(walks, 400u);
+    EXPECT_GT(collected, 100u) << "walks collected real versions";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VersionProtocolProperty,
