@@ -47,16 +47,12 @@ Core::runUntil(Cycle quantum_end)
                                          localCycle);
             stats.barrierStallCycles += stall;
             localCycle += stall;
-            Cycle slat = hier.store(coreId, ref.addr,
-                                    ref.hasData ? ref.data : nullptr,
-                                    ref.size, localCycle);
-            stats.extra["lat_store"] += slat;
-            localCycle += slat;
+            localCycle += hier.store(coreId, ref.addr,
+                                     ref.hasData ? ref.data : nullptr,
+                                     ref.size, localCycle);
         } else {
             ++stats.loads;
-            Cycle llat = hier.load(coreId, ref.addr, localCycle);
-            stats.extra["lat_load"] += llat;
-            localCycle += llat;
+            localCycle += hier.load(coreId, ref.addr, localCycle);
         }
     }
 }

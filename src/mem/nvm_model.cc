@@ -68,7 +68,6 @@ NvmModel::write(Addr addr, std::uint32_t bytes, Cycle now,
     Cycle stall = 0;
     if (busyUntil > deviceNow + windowCycles) {
         stall = busyUntil - windowCycles - deviceNow;
-        stallCycles += stall;
         now += stall;
         NVO_TRACE(Nvm, NvmStall, obs::trackNvm, now, stall,
                   busyUntil - deviceNow);
@@ -90,7 +89,6 @@ NvmModel::write(Addr addr, std::uint32_t bytes, Cycle now,
             ++wear_[(addr + i * lineBytes) / p.wearRegionBytes];
     }
 
-    writeBytes += bytes;
     // The bandwidth time series records *drain* time (busyUntil), so
     // plotted bandwidth never exceeds device capacity even when the
     // DRAM buffer absorbs an issue burst (Fig. 17 semantics).
@@ -106,7 +104,6 @@ NvmModel::read(Addr addr, std::uint32_t bytes, Cycle now)
     unsigned bank = bankOf(addr);
     Cycle start = std::max(now, bankFree[bank]);
     Cycle done = start + p.readLatency;
-    readBytes += bytes;
     if (stats)
         stats->nvmReadBytes += bytes;
     return done - now;

@@ -83,10 +83,6 @@ class NvmModel
     /** Aggregate write bandwidth in bytes per cycle. */
     double bytesPerCycle() const;
 
-    std::uint64_t totalWriteBytes() const { return writeBytes; }
-    std::uint64_t totalReadBytes() const { return readBytes; }
-    std::uint64_t totalStallCycles() const { return stallCycles; }
-
     /**
      * Export wear-leveling statistics into `stats.extra` as
      * `nvm_wear_*` keys (region count, max and mean line writes per
@@ -94,9 +90,6 @@ class NvmModel
      * wear model is off, so existing stats output is byte-unchanged.
      */
     void exportWear(RunStats &run_stats) const;
-
-    /** Touched wear regions (tests). */
-    std::size_t wearRegions() const { return wear_.size(); }
 
     /**
      * The persist boundary: durable structures stage undo records and
@@ -117,9 +110,6 @@ class NvmModel
     Cycle deviceNow = 0;
     /** Backlog the buffer can hold, expressed in drain cycles. */
     Cycle windowCycles;
-    std::uint64_t writeBytes = 0;
-    std::uint64_t readBytes = 0;
-    std::uint64_t stallCycles = 0;
     /** Per-region line-write counts (ordered so the export and any
      *  iteration stay deterministic). Keyed by addr/wearRegionBytes. */
     std::map<std::uint64_t, std::uint64_t> wear_;

@@ -20,8 +20,8 @@
  *
  * Device writes of durable structures are routed through `write()`,
  * which forwards to the owning NvmModel's timing model; this is the
- * single sanctioned raw-NVM-write path for `src/nvoverlay/` (enforced
- * by nvo_lint's persist-domain rule).
+ * single sanctioned raw-NVM-write path for `src/nvoverlay/` and
+ * `src/repl/` (enforced by nvo_check's persist-domain rule).
  *
  * Staging costs one closure per mutation, so the domain is `arm()`ed
  * only for crash campaigns and tests (`persist.armed`); disarmed, the

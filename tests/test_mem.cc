@@ -182,7 +182,6 @@ TEST(NvmModel, StatsRecorded)
     EXPECT_EQ(st.nvmWriteBytes[static_cast<int>(NvmWriteKind::Log)],
               64u);
     EXPECT_EQ(st.nvmReadBytes, 64u);
-    EXPECT_EQ(nvm.totalWriteBytes(), 64u);
 }
 
 TEST(NvmModel, BytesPerCycleMatchesGeometry)

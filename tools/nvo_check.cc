@@ -19,21 +19,13 @@
  *                    durable publish) must be dominated by an
  *                    NVO_FAULT_POINT / NVO_FAULT_ERROR hook, so the
  *                    crash campaigns can cut power on its path.
- *  - persist-domain: structural version of the lint rule — a direct
- *                    `<nvm model>.write(...)` bypassing `.persist()`
- *                    is flagged wherever it syntactically hides.
- *  - ledger-hook:    structural version of the lint rule — master
- *                    table insert/erase is legal only inside
+ *  - persist-domain: a direct `<nvm model>.write(...)` bypassing
+ *                    `.persist()` is flagged wherever it syntactically
+ *                    hides.
+ *  - ledger-hook:    master table insert/erase is legal only inside
  *                    masterInsert (or lambdas defined there), and
  *                    sub-page dropHeader only inside reclaimSubPage;
  *                    a wrapper function does not launder the call.
- *
- * Two frontends feed one IR:
- *  - the built-in structural C++ parser (default; no toolchain
- *    dependency), and
- *  - a clang `-Xclang -ast-dump=json` reader (`--ast-json`), parsed
- *    with tools/json_mini.hh — no libTooling link. Use with
- *    CMAKE_EXPORT_COMPILE_COMMANDS to reproduce compiler view.
  *
  * The analysis tracks, per path, a pair of booleans for each fact
  * ("assuming the caller entered clean" / "assuming the caller
@@ -43,253 +35,31 @@
  * fixpoint, so a violation whose write and publish live in
  * different functions is still reported (at the call site).
  *
- * Suppression: an allowlist file ("<rule> <path-suffix>[:<function>]"
- * per line, default tools/nvo_check_allow.txt) or an inline
- * "nvo-check: allow(rule)" marker on the offending line.
- *
- * Exit status: 0 clean, 1 violations found, 2 usage or I/O error.
- * `--self-test` runs embedded good/bad cases; `--corpus DIR` runs the
- * committed fixture corpus (see tests/check_corpus/README.md).
+ * Lexing, suppression, the corpus and the command line are the
+ * shared analyzer front end (analyzer_front.hh; flags and exit codes
+ * are documented there). Suppression: tools/nvo_check_allow.txt, whose
+ * entries may name a function ("<rule> <path-suffix>:<function>"), or
+ * an inline "nvo-check: allow(rule)" marker on the offending line.
+ * Tree runs visit only src/nvoverlay/ and src/repl/ unless
+ * --force-scope; fixtures live in tests/check_corpus (see its
+ * README.md).
  */
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "json_mini.hh"
+#include "analyzer_front.hh"
 
 namespace
 {
 
-namespace fs = std::filesystem;
-
-struct Violation
-{
-    std::string file;
-    int line = 0;
-    std::string rule;
-    std::string message;
-    std::string function;
-};
-
-struct Token
-{
-    std::string text;
-    int line = 0;
-    bool ident = false;
-    bool str = false;
-};
-
-/** Per-line "nvo-check: allow(rule)" markers, rule "*" allows all. */
-using AllowMarkers = std::map<int, std::set<std::string>>;
-
-AllowMarkers
-collectMarkers(const std::string &text)
-{
-    AllowMarkers markers;
-    std::istringstream in(text);
-    std::string line;
-    int num = 0;
-    while (std::getline(in, line)) {
-        ++num;
-        std::size_t pos = line.find("nvo-check: allow(");
-        if (pos == std::string::npos)
-            continue;
-        std::size_t open = line.find('(', pos);
-        std::size_t close = line.find(')', open);
-        if (close == std::string::npos)
-            continue;
-        std::string rules = line.substr(open + 1, close - open - 1);
-        std::istringstream rs(rules);
-        std::string rule;
-        while (std::getline(rs, rule, ',')) {
-            rule.erase(std::remove_if(rule.begin(), rule.end(),
-                                      [](unsigned char c) {
-                                          return std::isspace(c);
-                                      }),
-                       rule.end());
-            if (!rule.empty())
-                markers[num].insert(rule);
-        }
-    }
-    return markers;
-}
-
-bool
-isIdentChar(char c)
-{
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
-/** See nvo_lint: the '"' at @p i opens a raw string literal. */
-bool
-isRawStringStart(const std::string &text, std::size_t i)
-{
-    if (i == 0 || text[i - 1] != 'R')
-        return false;
-    std::size_t p = i - 1;
-    if (p >= 2 && text[p - 2] == 'u' && text[p - 1] == '8')
-        p -= 2;
-    else if (p >= 1 && (text[p - 1] == 'u' || text[p - 1] == 'U' ||
-                        text[p - 1] == 'L'))
-        p -= 1;
-    return p == 0 ||
-           !(std::isalnum(static_cast<unsigned char>(text[p - 1])) ||
-             text[p - 1] == '_');
-}
-
-/**
- * Lex C++ into the token stream the structural parser consumes.
- * Comments and preprocessor lines vanish; string literals survive as
- * single tokens (fault-point names live in them); raw strings are
- * delimiter-matched so their quotes cannot derail the scan.
- */
-std::vector<Token>
-tokenize(const std::string &text)
-{
-    std::vector<Token> out;
-    int line = 1;
-    std::size_t i = 0;
-    const std::size_t n = text.size();
-    auto peekc = [&](std::size_t k) {
-        return k < n ? text[k] : '\0';
-    };
-    while (i < n) {
-        char c = text[i];
-        char nx = peekc(i + 1);
-        if (c == '\n') {
-            ++line;
-            ++i;
-            continue;
-        }
-        if (std::isspace(static_cast<unsigned char>(c))) {
-            ++i;
-            continue;
-        }
-        if (c == '/' && nx == '/') {
-            while (i < n && text[i] != '\n')
-                ++i;
-            continue;
-        }
-        if (c == '/' && nx == '*') {
-            i += 2;
-            while (i + 1 < n &&
-                   !(text[i] == '*' && text[i + 1] == '/')) {
-                if (text[i] == '\n')
-                    ++line;
-                ++i;
-            }
-            i = i + 1 < n ? i + 2 : n;
-            continue;
-        }
-        if (c == '#' &&
-            (out.empty() || out.back().line != line)) {
-            // Preprocessor line (with continuations).
-            while (i < n && text[i] != '\n') {
-                if (text[i] == '\\' && peekc(i + 1) == '\n') {
-                    ++line;
-                    i += 2;
-                    continue;
-                }
-                ++i;
-            }
-            continue;
-        }
-        if (c == '"' && isRawStringStart(text, i)) {
-            // Already emitted the R/prefix as an ident token; replace
-            // it with a single string token.
-            if (!out.empty() && out.back().ident)
-                out.pop_back();
-            std::size_t open = text.find('(', i + 1);
-            if (open == std::string::npos) {
-                ++i;
-                continue;
-            }
-            std::string delim = text.substr(i + 1, open - i - 1);
-            std::string stop = ")" + delim + "\"";
-            std::size_t end = text.find(stop, open + 1);
-            std::size_t close =
-                end == std::string::npos ? n : end + stop.size();
-            std::string body = text.substr(i, close - i);
-            int start_line = line;
-            line += static_cast<int>(
-                std::count(body.begin(), body.end(), '\n'));
-            out.push_back({body, start_line, false, true});
-            i = close;
-            continue;
-        }
-        if (c == '"' || c == '\'') {
-            char q = c;
-            std::size_t start = i++;
-            while (i < n && text[i] != q) {
-                if (text[i] == '\\')
-                    ++i;
-                if (i < n) {
-                    if (text[i] == '\n')
-                        ++line;
-                    ++i;
-                }
-            }
-            if (i < n)
-                ++i;   // closing quote
-            out.push_back({text.substr(start, i - start), line,
-                           false, q == '"'});
-            continue;
-        }
-        if (std::isdigit(static_cast<unsigned char>(c))) {
-            std::size_t start = i;
-            while (i < n &&
-                   (isIdentChar(text[i]) || text[i] == '.' ||
-                    text[i] == '\'' ||
-                    ((text[i] == '+' || text[i] == '-') && i > start &&
-                     (text[i - 1] == 'e' || text[i - 1] == 'E' ||
-                      text[i - 1] == 'p' || text[i - 1] == 'P'))))
-                ++i;
-            out.push_back({text.substr(start, i - start), line, false,
-                           false});
-            continue;
-        }
-        if (isIdentChar(c)) {
-            std::size_t start = i;
-            while (i < n && isIdentChar(text[i]))
-                ++i;
-            out.push_back(
-                {text.substr(start, i - start), line, true, false});
-            continue;
-        }
-        // Multi-char operators the rules depend on ("=" must mean
-        // assignment; "." / "->" must be single tokens). ">>"/"<<"
-        // deliberately split so template-angle matching stays sane.
-        static const char *two[] = {"::", "->", "==", "!=", "<=",
-                                    ">=", "&&", "||", "+=", "-=",
-                                    "*=", "/=", "%=", "&=", "|=",
-                                    "^=", "++", "--"};
-        std::string pair{c, nx};
-        bool matched = false;
-        for (const char *t : two) {
-            if (pair == t) {
-                out.push_back({pair, line, false, false});
-                i += 2;
-                matched = true;
-                break;
-            }
-        }
-        if (matched)
-            continue;
-        out.push_back({std::string(1, c), line, false, false});
-        ++i;
-    }
-    return out;
-}
+using front::Token;
+using front::Violation;
 
 // -------------------------------------------------------------------
 // IR: one statement tree per function, actions at the leaves.
@@ -368,7 +138,7 @@ struct Fn
 };
 
 // -------------------------------------------------------------------
-// Structural frontend: token stream -> functions with statement
+// Structural parser: token stream -> functions with statement
 // trees. Approximate by design — it only has to recognize the
 // constructs the rules care about and keep control flow honest.
 // -------------------------------------------------------------------
@@ -1397,489 +1167,23 @@ struct Analyzer
 };
 
 // -------------------------------------------------------------------
-// Clang AST frontend: `clang -Xclang -ast-dump=json` -> the same IR.
-// Reads the dump with jsonmini (no libTooling link); locations use
-// clang's differential encoding, so file/line are tracked as "last
-// seen" during the walk.
+// Entry points for the shared front end.
 // -------------------------------------------------------------------
 
-struct AstReader
-{
-    Tu &tu;
-    bool forceScope = false;
-    std::string lastFile;
-    int lastLine = 0;
-
-    static const jsonmini::Value *
-    kidAt(const jsonmini::Value *v, std::size_t i)
-    {
-        const jsonmini::Value *inner = v->get("inner");
-        if (!inner || !inner->isArray() || i >= inner->arr.size())
-            return nullptr;
-        return inner->arr[i].get();
-    }
-
-    static std::size_t
-    kidCount(const jsonmini::Value *v)
-    {
-        const jsonmini::Value *inner = v->get("inner");
-        return inner && inner->isArray() ? inner->arr.size() : 0;
-    }
-
-    static std::string
-    kindOf(const jsonmini::Value *v)
-    {
-        const jsonmini::Value *k = v->get("kind");
-        return k ? k->asString() : std::string();
-    }
-
-    void
-    updateLoc(const jsonmini::Value *v)
-    {
-        static const char *paths[][3] = {
-            {"loc", nullptr, nullptr},
-            {"loc", "spellingLoc", nullptr},
-            {"loc", "expansionLoc", nullptr},
-            {"range", "begin", nullptr},
-            {"range", "begin", "spellingLoc"},
-            {"range", "begin", "expansionLoc"},
-        };
-        for (const auto &p : paths) {
-            const jsonmini::Value *loc = v->get(p[0]);
-            if (loc && p[1])
-                loc = loc->get(p[1]);
-            if (loc && p[2])
-                loc = loc->get(p[2]);
-            if (!loc)
-                continue;
-            if (const jsonmini::Value *f = loc->get("file"))
-                lastFile = f->asString();
-            if (const jsonmini::Value *l = loc->get("line"))
-                lastLine = static_cast<int>(l->asInt());
-        }
-    }
-
-    /** True when the subtree mentions @p cls in any qualType. */
-    static bool
-    mentionsType(const jsonmini::Value *v, const std::string &cls)
-    {
-        if (const jsonmini::Value *q = v->get("type", "qualType"))
-            if (q->asString().find(cls) != std::string::npos)
-                return true;
-        const jsonmini::Value *inner = v->get("inner");
-        if (inner && inner->isArray())
-            for (const auto &kid : inner->arr)
-                if (mentionsType(kid.get(), cls))
-                    return true;
-        return false;
-    }
-
-    /** First StringLiteral value in the subtree, unquoted. */
-    static std::string
-    findString(const jsonmini::Value *v)
-    {
-        if (kindOf(v) == "StringLiteral") {
-            if (const jsonmini::Value *val = v->get("value")) {
-                std::string s = val->asString();
-                if (s.size() >= 2 && s.front() == '"' &&
-                    s.back() == '"')
-                    return s.substr(1, s.size() - 2);
-                return s;
-            }
-        }
-        const jsonmini::Value *inner = v->get("inner");
-        if (inner && inner->isArray())
-            for (const auto &kid : inner->arr) {
-                std::string s = findString(kid.get());
-                if (!s.empty())
-                    return s;
-            }
-        return "";
-    }
-
-    /** First decl-reference name in the subtree (DeclRefExpr /
-     *  MemberExpr), for assignment targets and callees. */
-    static std::string
-    findName(const jsonmini::Value *v)
-    {
-        std::string k = kindOf(v);
-        if (k == "MemberExpr") {
-            if (const jsonmini::Value *n = v->get("name"))
-                return n->asString();
-        }
-        if (k == "DeclRefExpr") {
-            if (const jsonmini::Value *n =
-                    v->get("referencedDecl", "name"))
-                return n->asString();
-        }
-        const jsonmini::Value *inner = v->get("inner");
-        if (inner && inner->isArray())
-            for (const auto &kid : inner->arr) {
-                std::string s = findName(kid.get());
-                if (!s.empty())
-                    return s;
-            }
-        return "";
-    }
-
-    void
-    addAct(Node *seq, Act kind, const std::string &name, int line,
-           int lambda = -1)
-    {
-        NodePtr n = mkNode(Node::K::Act);
-        n->act = {kind, name, line, lambda};
-        seq->kids.push_back(std::move(n));
-    }
-
-    /** Convert one statement/expression node into @p seq. */
-    void
-    convert(const jsonmini::Value *v, Node *seq, Fn *fn)
-    {
-        if (!v || !v->isObject())
-            return;
-        updateLoc(v);
-        std::string k = kindOf(v);
-        int line = lastLine;
-
-        auto convertKids = [&](Node *dst, std::size_t from,
-                               std::size_t to) {
-            for (std::size_t i = from; i < to; ++i)
-                convert(kidAt(v, i), dst, fn);
-        };
-        std::size_t n = kidCount(v);
-
-        if (k == "IfStmt") {
-            bool hasElse = false;
-            if (const jsonmini::Value *he = v->get("hasElse"))
-                hasElse = he->boolean;
-            std::size_t branches = hasElse ? 2 : 1;
-            if (n < branches)
-                return;
-            NodePtr br = mkNode(Node::K::Branch);
-            NodePtr cond = mkNode(Node::K::Seq);
-            convertKids(cond.get(), 0, n - branches);
-            br->kids.push_back(std::move(cond));
-            NodePtr thenB = mkNode(Node::K::Seq);
-            convert(kidAt(v, n - branches), thenB.get(), fn);
-            br->kids.push_back(std::move(thenB));
-            if (hasElse) {
-                NodePtr elseB = mkNode(Node::K::Seq);
-                convert(kidAt(v, n - 1), elseB.get(), fn);
-                br->kids.push_back(std::move(elseB));
-            }
-            seq->kids.push_back(std::move(br));
-            return;
-        }
-        if (k == "WhileStmt" || k == "ForStmt" ||
-            k == "CXXForRangeStmt") {
-            if (n == 0)
-                return;
-            NodePtr loop = mkNode(Node::K::Loop);
-            NodePtr cond = mkNode(Node::K::Seq);
-            convertKids(cond.get(), 0, n - 1);
-            loop->kids.push_back(std::move(cond));
-            NodePtr body = mkNode(Node::K::Seq);
-            convert(kidAt(v, n - 1), body.get(), fn);
-            loop->kids.push_back(std::move(body));
-            seq->kids.push_back(std::move(loop));
-            return;
-        }
-        if (k == "DoStmt") {
-            if (n < 2)
-                return;
-            NodePtr loop = mkNode(Node::K::Loop);
-            loop->bodyFirst = true;
-            NodePtr cond = mkNode(Node::K::Seq);
-            convert(kidAt(v, n - 1), cond.get(), fn);
-            loop->kids.push_back(std::move(cond));
-            NodePtr body = mkNode(Node::K::Seq);
-            convertKids(body.get(), 0, n - 1);
-            loop->kids.push_back(std::move(body));
-            seq->kids.push_back(std::move(loop));
-            return;
-        }
-        if (k == "SwitchStmt") {
-            if (n == 0)
-                return;
-            NodePtr br = mkNode(Node::K::Branch);
-            NodePtr cond = mkNode(Node::K::Seq);
-            convertKids(cond.get(), 0, n - 1);
-            br->kids.push_back(std::move(cond));
-            NodePtr body = mkNode(Node::K::Seq);
-            convert(kidAt(v, n - 1), body.get(), fn);
-            br->kids.push_back(std::move(body));
-            seq->kids.push_back(std::move(br));
-            return;
-        }
-        if (k == "ReturnStmt" || k == "CXXThrowExpr") {
-            convertKids(seq, 0, n);
-            seq->kids.push_back(mkNode(Node::K::Ret));
-            return;
-        }
-        if (k == "LambdaExpr") {
-            const jsonmini::Value *body = nullptr;
-            for (std::size_t i = n; i > 0; --i) {
-                const jsonmini::Value *kid = kidAt(v, i - 1);
-                if (kid && kindOf(kid) == "CompoundStmt") {
-                    body = kid;
-                    break;
-                }
-            }
-            if (!body)
-                return;
-            auto lam = std::make_unique<Fn>();
-            lam->qual = fn->qual + "::<lambda:" +
-                        std::to_string(line) + ">";
-            lam->bare = lam->qual;
-            lam->sanction = fn->sanction;
-            lam->file = fn->file;
-            lam->line = line;
-            lam->lambda = true;
-            Fn *raw = lam.get();
-            tu.fns.push_back(std::move(lam));
-            int idx = static_cast<int>(tu.fns.size()) - 1;
-            raw->body = mkNode(Node::K::Seq);
-            convert(body, raw->body.get(), raw);
-            addAct(seq, Act::LambdaDef, raw->qual, line, idx);
-            return;
-        }
-        if (k == "CXXMemberCallExpr") {
-            const jsonmini::Value *callee = kidAt(v, 0);
-            std::string method =
-                callee ? findName(callee) : std::string();
-            // Base and arguments still execute: walk them first.
-            convertKids(seq, 0, n);
-            if (!callee)
-                return;
-            int mline = lastLine;
-            auto on = [&](const char *cls) {
-                return mentionsType(callee, cls);
-            };
-            if (method == "write" && on("PersistDomain"))
-                addAct(seq, Act::PersistWrite, method, mline);
-            else if (method == "barrier" && on("PersistDomain"))
-                addAct(seq, Act::Barrier, method, mline);
-            else if (method == "write" && on("NvmModel"))
-                addAct(seq, Act::RawNvmWrite, "nvm", mline);
-            else if ((method == "insert" || method == "erase") &&
-                     on("MasterTable"))
-                addAct(seq, Act::MasterMut, method, mline);
-            else if (method == "dropHeader")
-                addAct(seq, Act::DropHeader, method, mline);
-            else if (method == "hitPoint" || method == "errorPoint")
-                addAct(seq, Act::FaultHook, findString(v), mline);
-            else if (!method.empty())
-                addAct(seq, Act::Call, method, mline);
-            return;
-        }
-        if (k == "CallExpr" || k == "CXXOperatorCallExpr") {
-            convertKids(seq, 0, n);
-            const jsonmini::Value *callee = kidAt(v, 0);
-            std::string name =
-                callee ? findName(callee) : std::string();
-            if (!name.empty())
-                addAct(seq, Act::Call, name, lastLine);
-            return;
-        }
-        if (k == "BinaryOperator" || k == "CompoundAssignOperator") {
-            std::string opcode;
-            if (const jsonmini::Value *op = v->get("opcode"))
-                opcode = op->asString();
-            convertKids(seq, 0, n);
-            if (opcode == "=" && n >= 1) {
-                std::string lhs = findName(kidAt(v, 0));
-                if (lhs.rfind("durable", 0) == 0 && lhs.size() > 7 &&
-                    lhs.back() == '_')
-                    addAct(seq, Act::Publish, lhs, line);
-            }
-            return;
-        }
-        if (k == "FunctionDecl" || k == "CXXMethodDecl" ||
-            k == "CXXConstructorDecl" || k == "CXXDestructorDecl" ||
-            k == "CXXConversionDecl") {
-            convertFunction(v);
-            return;
-        }
-        // Default: walk children in order.
-        convertKids(seq, 0, n);
-    }
-
-    void
-    convertFunction(const jsonmini::Value *v)
-    {
-        if (const jsonmini::Value *imp = v->get("isImplicit"))
-            if (imp->boolean)
-                return;
-        updateLoc(v);
-        const jsonmini::Value *body = nullptr;
-        for (std::size_t i = kidCount(v); i > 0; --i) {
-            const jsonmini::Value *kid = kidAt(v, i - 1);
-            if (kid && kindOf(kid) == "CompoundStmt") {
-                body = kid;
-                break;
-            }
-        }
-        if (!body)
-            return;
-        std::string file = lastFile;
-        if (!forceScope && !file.empty() &&
-            file.find("nvoverlay/") == std::string::npos &&
-            file.find("repl/") == std::string::npos)
-            return;
-        auto fn = std::make_unique<Fn>();
-        if (const jsonmini::Value *nm = v->get("name"))
-            fn->qual = nm->asString();
-        if (fn->qual.empty())
-            fn->qual = "<anonymous>";
-        fn->bare = fn->qual;
-        fn->sanction = fn->bare;
-        fn->file = file.empty() ? tu.display : file;
-        fn->line = lastLine;
-        Fn *raw = fn.get();
-        tu.fns.push_back(std::move(fn));
-        raw->body = mkNode(Node::K::Seq);
-        convert(body, raw->body.get(), raw);
-    }
-
-    /** Top-level walk: find every function with a body. */
-    void
-    run(const jsonmini::Value *root)
-    {
-        if (!root || !root->isObject())
-            return;
-        std::string k = kindOf(root);
-        if (k == "FunctionDecl" || k == "CXXMethodDecl" ||
-            k == "CXXConstructorDecl" || k == "CXXDestructorDecl" ||
-            k == "CXXConversionDecl") {
-            convertFunction(root);
-            return;
-        }
-        updateLoc(root);
-        const jsonmini::Value *inner = root->get("inner");
-        if (inner && inner->isArray())
-            for (const auto &kid : inner->arr)
-                run(kid.get());
-    }
-};
-
-// -------------------------------------------------------------------
-// Driver: per-file analysis, suppression, corpus, self-test.
-// -------------------------------------------------------------------
-
+/** The rules over one translation unit (no scope-gated rules here:
+ *  the tree run's scope is Tool::inScope). */
 std::vector<Violation>
-checkText(const std::string &display, const std::string &text)
+checkRules(const std::string &display, const std::string &,
+           const std::string &text)
 {
-    std::vector<Token> toks = tokenize(text);
+    std::vector<Token> toks = front::tokenize(text);
     Tu tu{display, {}};
     Extractor ex{toks, tu};
     ex.run();
     std::vector<Violation> out;
     Analyzer az{tu, {}, nullptr, {}, nullptr, {}, false};
     az.run(out);
-
-    AllowMarkers markers = collectMarkers(text);
-    out.erase(std::remove_if(
-                  out.begin(), out.end(),
-                  [&markers](const Violation &v) {
-                      auto it = markers.find(v.line);
-                      if (it == markers.end())
-                          return false;
-                      return it->second.count(v.rule) != 0 ||
-                             it->second.count("*") != 0;
-                  }),
-              out.end());
-    std::sort(out.begin(), out.end(),
-              [](const Violation &a, const Violation &b) {
-                  return std::tie(a.file, a.line, a.rule) <
-                         std::tie(b.file, b.line, b.rule);
-              });
     return out;
-}
-
-std::vector<Violation>
-checkAstText(const std::string &display, const std::string &json,
-             bool force_scope)
-{
-    Tu tu{display, {}};
-    std::vector<Violation> out;
-    try {
-        jsonmini::ValuePtr root = jsonmini::parse(json);
-        AstReader rd{tu, force_scope, "", 0};
-        rd.run(root.get());
-    } catch (const std::exception &e) {
-        out.push_back({display, 0, "ast-parse", e.what(), ""});
-        return out;
-    }
-    Analyzer az{tu, {}, nullptr, {}, nullptr, {}, false};
-    az.run(out);
-    std::sort(out.begin(), out.end(),
-              [](const Violation &a, const Violation &b) {
-                  return std::tie(a.file, a.line, a.rule) <
-                         std::tie(b.file, b.line, b.rule);
-              });
-    return out;
-}
-
-struct AllowEntry
-{
-    std::string rule;
-    std::string pathSuffix;
-    std::string function;   // optional ":func" qualifier
-};
-
-std::vector<AllowEntry>
-loadAllowlist(const std::string &path, bool &ok)
-{
-    std::vector<AllowEntry> entries;
-    std::ifstream in(path);
-    ok = in.good();
-    std::string line;
-    while (std::getline(in, line)) {
-        std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        std::istringstream ls(line);
-        AllowEntry e;
-        std::string spec;
-        if (!(ls >> e.rule >> spec))
-            continue;
-        std::size_t colon = spec.find(':');
-        if (colon != std::string::npos) {
-            e.function = spec.substr(colon + 1);
-            spec = spec.substr(0, colon);
-        }
-        e.pathSuffix = spec;
-        entries.push_back(std::move(e));
-    }
-    return entries;
-}
-
-bool
-suffixMatches(const std::string &path, const std::string &suffix)
-{
-    if (suffix.size() > path.size())
-        return false;
-    if (path.compare(path.size() - suffix.size(), suffix.size(),
-                     suffix) != 0)
-        return false;
-    return path.size() == suffix.size() ||
-           path[path.size() - suffix.size() - 1] == '/';
-}
-
-bool
-allowlisted(const Violation &v, const std::vector<AllowEntry> &allow)
-{
-    for (const auto &e : allow) {
-        if (e.rule != v.rule && e.rule != "*")
-            continue;
-        if (!suffixMatches(v.file, e.pathSuffix))
-            continue;
-        if (!e.function.empty() &&
-            v.function.find(e.function) == std::string::npos)
-            continue;
-        return true;
-    }
-    return false;
 }
 
 /** Only src/nvoverlay/ and src/repl/ carry the persist protocol. */
@@ -1890,527 +1194,184 @@ inScope(const std::string &path)
            path.find("repl/") != std::string::npos;
 }
 
-bool
-checkable(const fs::path &p)
-{
-    std::string ext = p.extension().string();
-    return ext == ".cc" || ext == ".hh";
-}
-
 // -------------------------------------------------------------------
 // Self-test: each rule demonstrated in both directions, including
 // the cross-function cases the token linter cannot see.
 // -------------------------------------------------------------------
 
-int
-selfTest()
-{
-    struct Case
-    {
-        const char *name;
-        const char *code;
-        const char *expectRule;   // nullptr = expect clean
-    };
-    const Case cases[] = {
-        {"fenced publish is clean",
-         "void f() { NVO_FAULT_POINT(\"x\");\n"
-         "  nvm.persist().write(a, 8, now, k);\n"
-         "  nvm.persist().barrier();\n"
-         "  durableRecEpoch_ = recEpoch_; }\n",
-         nullptr},
-        {"unfenced publish fires",
-         "void f() { NVO_FAULT_POINT(\"x\");\n"
-         "  nvm.persist().write(a, 8, now, k);\n"
-         "  durableRecEpoch_ = recEpoch_; }\n",
-         "persist-order"},
-        {"branch-skippable barrier fires",
-         "void f() { NVO_FAULT_POINT(\"x\");\n"
-         "  nvm.persist().write(a, 8, now, k);\n"
-         "  if (!p.testSkipRecBarrier)\n"
-         "      nvm.persist().barrier();\n"
-         "  durableRecEpoch_ = recEpoch_; }\n",
-         "persist-order"},
-        {"barrier on both branches is clean",
-         "void f() { NVO_FAULT_POINT(\"x\");\n"
-         "  nvm.persist().write(a, 8, now, k);\n"
-         "  if (fast) { nvm.persist().barrier(); }\n"
-         "  else { nvm.persist().barrier(); }\n"
-         "  durableRecEpoch_ = recEpoch_; }\n",
-         nullptr},
-        {"loop carries the unfenced write to the next publish",
-         "void f() { NVO_FAULT_POINT(\"x\");\n"
-         "  while (more) {\n"
-         "    durableCursor_ = c;\n"
-         "    nvm.persist().write(a, 8, now, k);\n"
-         "  } }\n",
-         "persist-order"},
-        {"terminated path does not leak into the join",
-         "void f() { NVO_FAULT_POINT(\"x\");\n"
-         "  nvm.persist().write(a, 8, now, k);\n"
-         "  if (bail) { nvm.persist().barrier();\n"
-         "    durableCursor_ = c; return; }\n"
-         "  nvm.persist().barrier();\n"
-         "  durableCursor_ = c; }\n",
-         nullptr},
-        {"callee barrier clears the pending write",
-         "void fence() { nvm.persist().barrier(); }\n"
-         "void g() { NVO_FAULT_POINT(\"x\");\n"
-         "  nvm.persist().write(a, 8, now, k);\n"
-         "  fence();\n"
-         "  durableCursor_ = c; }\n",
-         nullptr},
-        {"callee write reaches a later publish",
-         "void wr() { NVO_FAULT_POINT(\"x\");\n"
-         "  nvm.persist().write(a, 8, now, k); }\n"
-         "void g() { NVO_FAULT_POINT(\"y\"); wr();\n"
-         "  durableCursor_ = c; }\n",
-         "persist-order"},
-        {"publish-only callee flagged at the dirty call site",
-         "void pub() { NVO_FAULT_POINT(\"p\"); durableCursor_ = c; }\n"
-         "void g() { NVO_FAULT_POINT(\"x\");\n"
-         "  nvm.persist().write(a, 8, now, k);\n"
-         "  pub(); }\n",
-         "persist-order"},
-        {"publish-only callee fine after a fence",
-         "void pub() { NVO_FAULT_POINT(\"p\"); durableCursor_ = c; }\n"
-         "void g() { NVO_FAULT_POINT(\"x\");\n"
-         "  nvm.persist().write(a, 8, now, k);\n"
-         "  nvm.persist().barrier();\n"
-         "  pub(); }\n",
-         nullptr},
-        {"persist-domain alias write without fence fires",
-         "void f() { NVO_FAULT_POINT(\"x\");\n"
-         "  PersistDomain &d = nvm.persist();\n"
-         "  d.write(a, 8, now, k);\n"
-         "  durableCursor_ = c; }\n",
-         "persist-order"},
-        {"persist-domain alias fence is seen",
-         "void f() { NVO_FAULT_POINT(\"x\");\n"
-         "  PersistDomain &d = nvm.persist();\n"
-         "  d.write(a, 8, now, k);\n"
-         "  d.barrier();\n"
-         "  durableCursor_ = c; }\n",
-         nullptr},
-        {"unhooked persist write fires",
-         "void f() { nvm.persist().write(a, 8, now, k);\n"
-         "  nvm.persist().barrier(); }\n",
-         "fault-coverage"},
-        {"hook in a retry-loop condition covers the write",
-         "void f() { while (NVO_FAULT_ERROR(\"dev\")) { retry(); }\n"
-         "  nvm.persist().write(a, 8, now, k);\n"
-         "  nvm.persist().barrier(); }\n",
-         nullptr},
-        {"branch-only hook does not cover the write",
-         "void f() { if (slow) NVO_FAULT_POINT(\"x\");\n"
-         "  nvm.persist().write(a, 8, now, k);\n"
-         "  nvm.persist().barrier(); }\n",
-         "fault-coverage"},
-        {"hook inherited through a call",
-         "void hook() { NVO_FAULT_POINT(\"x\"); }\n"
-         "void f() { hook();\n"
-         "  nvm.persist().write(a, 8, now, k);\n"
-         "  nvm.persist().barrier(); }\n",
-         nullptr},
-        {"caller-dependent coverage flagged at bare call",
-         "void wr2() { nvm.persist().write(a, 8, now, k);\n"
-         "  nvm.persist().barrier(); }\n"
-         "void f() { wr2(); }\n",
-         "fault-coverage"},
-        {"caller provides the hook",
-         "void wr2() { nvm.persist().write(a, 8, now, k);\n"
-         "  nvm.persist().barrier(); }\n"
-         "void f() { NVO_FAULT_POINT(\"x\"); wr2(); }\n",
-         nullptr},
-        {"raw NVM write fires",
-         "void f() { nvm.write(a, 8, now, k); }\n",
-         "persist-domain"},
-        {"master mutation outside masterInsert fires",
-         "void f() { part.master->insert(a, v, e); }\n",
-         "ledger-hook"},
-        {"master mutation inside masterInsert is sanctioned",
-         "void masterInsert() { part.master->insert(a, v, e); }\n",
-         nullptr},
-        {"undo lambda inside masterInsert is sanctioned",
-         "void masterInsert() {\n"
-         "  domain.stage(kind, [mt, a, old]{ mt->insert(a, old); });\n"
-         "  domain.stage(kind, [mt, a]{ mt->erase(a); }); }\n",
-         nullptr},
-        {"lambda elsewhere is not sanctioned",
-         "void f() { run([&]{ master->erase(a); }); }\n",
-         "ledger-hook"},
-        {"dropHeader outside reclaimSubPage fires",
-         "void f() { pool.dropHeader(a); }\n",
-         "ledger-hook"},
-        {"dropHeader inside reclaimSubPage is sanctioned",
-         "void reclaimSubPage() { part.pool->dropHeader(a); }\n",
-         nullptr},
-        {"inline allow marker suppresses",
-         "void f() { nvm.write(a, 8);"
-         "   // nvo-check: allow(persist-domain)\n"
-         "}\n",
-         nullptr},
-        {"comments and raw strings carry no actions",
-         "// nvm.persist().write(a); durableCursor_ = c;\n"
-         "void f() { const char *s =\n"
-         "  R\"(nvm.write(x); master->insert(y);)\"; use(s); }\n",
-         nullptr},
-        {"switch body may be skipped",
-         "void f() { NVO_FAULT_POINT(\"x\");\n"
-         "  nvm.persist().write(a, 8, now, k);\n"
-         "  switch (mode) {\n"
-         "  case 0: nvm.persist().barrier(); break;\n"
-         "  default: nvm.persist().barrier(); break;\n"
-         "  }\n"
-         "  durableCursor_ = c; }\n",
-         "persist-order"},
-        {"do-while body is guaranteed",
-         "void f() { NVO_FAULT_POINT(\"x\");\n"
-         "  nvm.persist().write(a, 8, now, k);\n"
-         "  do { nvm.persist().barrier(); } while (again());\n"
-         "  durableCursor_ = c; }\n",
-         nullptr},
-    };
+/** Every case is judged as if it lived in src/nvoverlay/. */
+constexpr const char *kSelf = "nvoverlay/self_test.cc";
 
-    int failures = 0;
-    for (const Case &c : cases) {
-        std::vector<Violation> got =
-            checkText("nvoverlay/self_test.cc", c.code);
-        bool pass;
-        if (c.expectRule == nullptr) {
-            pass = got.empty();
-        } else {
-            pass = false;
-            for (const Violation &v : got)
-                if (v.rule == c.expectRule)
-                    pass = true;
-        }
-        if (!pass) {
-            ++failures;
-            std::fprintf(stderr, "self-test FAILED: %s\n", c.name);
-            if (got.empty()) {
-                std::fprintf(stderr, "  (no violations found, "
-                                     "expected %s)\n",
-                             c.expectRule);
-            }
-            for (const Violation &v : got)
-                std::fprintf(stderr, "  got %s:%d: [%s] %s\n",
-                             v.file.c_str(), v.line, v.rule.c_str(),
-                             v.message.c_str());
-        }
-    }
-
-    // The AST frontend, against hand-written dumps of the same
-    // shapes (clang's JSON schema; differential line encoding).
-    struct AstCase
-    {
-        const char *name;
-        const char *json;
-        const char *expectRule;
-    };
-    const char *ast_bad =
-        "{\"kind\":\"TranslationUnitDecl\",\"inner\":[{"
-        "\"kind\":\"FunctionDecl\",\"name\":\"persistRecEpoch\","
-        "\"loc\":{\"file\":\"nvoverlay/omc.cc\",\"line\":3},"
-        "\"inner\":[{\"kind\":\"CompoundStmt\",\"inner\":["
-        "{\"kind\":\"CXXMemberCallExpr\","
-        "\"range\":{\"begin\":{\"line\":4}},"
-        "\"inner\":[{\"kind\":\"MemberExpr\",\"name\":\"hitPoint\","
-        "\"type\":{\"qualType\":\"void\"},"
-        "\"inner\":[{\"kind\":\"CallExpr\","
-        "\"type\":{\"qualType\":\"nvo::fault::Registry &\"}}]},"
-        "{\"kind\":\"StringLiteral\",\"value\":\"\\\"omc.rec\\\"\"}]},"
-        "{\"kind\":\"CXXMemberCallExpr\","
-        "\"range\":{\"begin\":{\"line\":5}},"
-        "\"inner\":[{\"kind\":\"MemberExpr\",\"name\":\"write\","
-        "\"inner\":[{\"kind\":\"CXXMemberCallExpr\","
-        "\"type\":{\"qualType\":\"nvo::PersistDomain &\"},"
-        "\"inner\":[{\"kind\":\"MemberExpr\",\"name\":\"persist\","
-        "\"inner\":[{\"kind\":\"DeclRefExpr\","
-        "\"type\":{\"qualType\":\"nvo::NvmModel\"}}]}]}]}]},"
-        "{\"kind\":\"BinaryOperator\",\"opcode\":\"=\","
-        "\"range\":{\"begin\":{\"line\":7}},"
-        "\"inner\":[{\"kind\":\"MemberExpr\","
-        "\"name\":\"durableRecEpoch_\"},"
-        "{\"kind\":\"MemberExpr\",\"name\":\"recEpoch_\"}]}]}]}]}";
-    const char *ast_good =
-        "{\"kind\":\"TranslationUnitDecl\",\"inner\":[{"
-        "\"kind\":\"FunctionDecl\",\"name\":\"persistRecEpoch\","
-        "\"loc\":{\"file\":\"nvoverlay/omc.cc\",\"line\":3},"
-        "\"inner\":[{\"kind\":\"CompoundStmt\",\"inner\":["
-        "{\"kind\":\"CXXMemberCallExpr\","
-        "\"range\":{\"begin\":{\"line\":4}},"
-        "\"inner\":[{\"kind\":\"MemberExpr\",\"name\":\"hitPoint\","
-        "\"type\":{\"qualType\":\"void\"},"
-        "\"inner\":[{\"kind\":\"CallExpr\","
-        "\"type\":{\"qualType\":\"nvo::fault::Registry &\"}}]},"
-        "{\"kind\":\"StringLiteral\",\"value\":\"\\\"omc.rec\\\"\"}]},"
-        "{\"kind\":\"CXXMemberCallExpr\","
-        "\"range\":{\"begin\":{\"line\":5}},"
-        "\"inner\":[{\"kind\":\"MemberExpr\",\"name\":\"write\","
-        "\"inner\":[{\"kind\":\"CXXMemberCallExpr\","
-        "\"type\":{\"qualType\":\"nvo::PersistDomain &\"},"
-        "\"inner\":[{\"kind\":\"MemberExpr\",\"name\":\"persist\","
-        "\"inner\":[{\"kind\":\"DeclRefExpr\","
-        "\"type\":{\"qualType\":\"nvo::NvmModel\"}}]}]}]}]},"
-        "{\"kind\":\"CXXMemberCallExpr\","
-        "\"range\":{\"begin\":{\"line\":6}},"
-        "\"inner\":[{\"kind\":\"MemberExpr\",\"name\":\"barrier\","
-        "\"inner\":[{\"kind\":\"CXXMemberCallExpr\","
-        "\"type\":{\"qualType\":\"nvo::PersistDomain &\"},"
-        "\"inner\":[{\"kind\":\"MemberExpr\",\"name\":\"persist\","
-        "\"inner\":[{\"kind\":\"DeclRefExpr\","
-        "\"type\":{\"qualType\":\"nvo::NvmModel\"}}]}]}]}]},"
-        "{\"kind\":\"BinaryOperator\",\"opcode\":\"=\","
-        "\"range\":{\"begin\":{\"line\":7}},"
-        "\"inner\":[{\"kind\":\"MemberExpr\","
-        "\"name\":\"durableRecEpoch_\"},"
-        "{\"kind\":\"MemberExpr\",\"name\":\"recEpoch_\"}]}]}]}]}";
-    const AstCase ast_cases[] = {
-        {"ast frontend catches the skipped barrier", ast_bad,
-         "persist-order"},
-        {"ast frontend accepts the fenced publish", ast_good,
-         nullptr},
-    };
-    for (const AstCase &c : ast_cases) {
-        std::vector<Violation> got =
-            checkAstText("ast-self-test", c.json, true);
-        bool pass;
-        if (c.expectRule == nullptr) {
-            pass = got.empty();
-        } else {
-            pass = false;
-            for (const Violation &v : got)
-                if (v.rule == c.expectRule)
-                    pass = true;
-        }
-        if (!pass) {
-            ++failures;
-            std::fprintf(stderr, "self-test FAILED: %s\n", c.name);
-            for (const Violation &v : got)
-                std::fprintf(stderr, "  got %s:%d: [%s] %s\n",
-                             v.file.c_str(), v.line, v.rule.c_str(),
-                             v.message.c_str());
-        }
-    }
-
-    int total = static_cast<int>(std::size(cases)) +
-                static_cast<int>(std::size(ast_cases));
-    if (failures == 0) {
-        std::printf("nvo_check self-test: %d cases passed\n", total);
-        return 0;
-    }
-    std::fprintf(stderr, "nvo_check self-test: %d/%d cases FAILED\n",
-                 failures, total);
-    return 1;
-}
-
-/**
- * Corpus mode: every fixture under DIR named
- * `<rule_with_underscores>.<good|bad>[.variant].cc` (structural) or
- * `...ast.json` (AST frontend) must come out clean / flag its rule.
- */
-int
-runCorpus(const std::string &dir)
-{
-    std::vector<fs::path> files;
-    std::error_code ec;
-    for (const auto &entry : fs::directory_iterator(dir, ec))
-        if (entry.is_regular_file())
-            files.push_back(entry.path());
-    if (ec) {
-        std::fprintf(stderr, "cannot read corpus dir %s\n",
-                     dir.c_str());
-        return 2;
-    }
-    std::sort(files.begin(), files.end());
-
-    int failures = 0, ran = 0;
-    for (const fs::path &p : files) {
-        std::string name = p.filename().string();
-        bool ast = name.size() > 9 &&
-                   name.compare(name.size() - 9, 9, ".ast.json") == 0;
-        bool cc = p.extension() == ".cc";
-        if (!ast && !cc)
-            continue;
-        std::size_t dot = name.find('.');
-        if (dot == std::string::npos)
-            continue;
-        std::string rule = name.substr(0, dot);
-        std::replace(rule.begin(), rule.end(), '_', '-');
-        bool expect_bad = name.find(".bad") != std::string::npos;
-        bool expect_good = name.find(".good") != std::string::npos;
-        if (!expect_bad && !expect_good)
-            continue;
-
-        std::ifstream in(p);
-        std::stringstream ss;
-        ss << in.rdbuf();
-        if (!in.good() && !in.eof()) {
-            std::fprintf(stderr, "cannot read %s\n",
-                         p.string().c_str());
-            return 2;
-        }
-        std::vector<Violation> got =
-            ast ? checkAstText(name, ss.str(), true)
-                : checkText("nvoverlay/" + name, ss.str());
-        ++ran;
-        bool pass;
-        if (expect_good) {
-            pass = got.empty();
-        } else {
-            pass = false;
-            for (const Violation &v : got)
-                if (v.rule == rule)
-                    pass = true;
-        }
-        if (!pass) {
-            ++failures;
-            std::fprintf(stderr, "corpus FAILED: %s (expected %s)\n",
-                         name.c_str(),
-                         expect_good ? "clean" : rule.c_str());
-            for (const Violation &v : got)
-                std::fprintf(stderr, "  got %s:%d: [%s] %s\n",
-                             v.file.c_str(), v.line, v.rule.c_str(),
-                             v.message.c_str());
-        }
-    }
-    if (ran == 0) {
-        std::fprintf(stderr,
-                     "corpus %s matched no fixture files\n",
-                     dir.c_str());
-        return 2;
-    }
-    if (failures == 0) {
-        std::printf("nvo_check corpus: %d fixtures passed\n", ran);
-        return 0;
-    }
-    std::fprintf(stderr, "nvo_check corpus: %d/%d fixtures FAILED\n",
-                 failures, ran);
-    return 1;
-}
+const std::vector<front::Case> kSelfTest = {
+    {"fenced publish is clean", kSelf,
+     "void f() { NVO_FAULT_POINT(\"x\");\n"
+     "  nvm.persist().write(a, 8, now, k);\n"
+     "  nvm.persist().barrier();\n"
+     "  durableRecEpoch_ = recEpoch_; }\n",
+     nullptr},
+    {"unfenced publish fires", kSelf,
+     "void f() { NVO_FAULT_POINT(\"x\");\n"
+     "  nvm.persist().write(a, 8, now, k);\n"
+     "  durableRecEpoch_ = recEpoch_; }\n",
+     "persist-order"},
+    {"branch-skippable barrier fires", kSelf,
+     "void f() { NVO_FAULT_POINT(\"x\");\n"
+     "  nvm.persist().write(a, 8, now, k);\n"
+     "  if (!p.testSkipRecBarrier)\n"
+     "      nvm.persist().barrier();\n"
+     "  durableRecEpoch_ = recEpoch_; }\n",
+     "persist-order"},
+    {"barrier on both branches is clean", kSelf,
+     "void f() { NVO_FAULT_POINT(\"x\");\n"
+     "  nvm.persist().write(a, 8, now, k);\n"
+     "  if (fast) { nvm.persist().barrier(); }\n"
+     "  else { nvm.persist().barrier(); }\n"
+     "  durableRecEpoch_ = recEpoch_; }\n",
+     nullptr},
+    {"loop carries the unfenced write to the next publish", kSelf,
+     "void f() { NVO_FAULT_POINT(\"x\");\n"
+     "  while (more) {\n"
+     "    durableCursor_ = c;\n"
+     "    nvm.persist().write(a, 8, now, k);\n"
+     "  } }\n",
+     "persist-order"},
+    {"terminated path does not leak into the join", kSelf,
+     "void f() { NVO_FAULT_POINT(\"x\");\n"
+     "  nvm.persist().write(a, 8, now, k);\n"
+     "  if (bail) { nvm.persist().barrier();\n"
+     "    durableCursor_ = c; return; }\n"
+     "  nvm.persist().barrier();\n"
+     "  durableCursor_ = c; }\n",
+     nullptr},
+    {"callee barrier clears the pending write", kSelf,
+     "void fence() { nvm.persist().barrier(); }\n"
+     "void g() { NVO_FAULT_POINT(\"x\");\n"
+     "  nvm.persist().write(a, 8, now, k);\n"
+     "  fence();\n"
+     "  durableCursor_ = c; }\n",
+     nullptr},
+    {"callee write reaches a later publish", kSelf,
+     "void wr() { NVO_FAULT_POINT(\"x\");\n"
+     "  nvm.persist().write(a, 8, now, k); }\n"
+     "void g() { NVO_FAULT_POINT(\"y\"); wr();\n"
+     "  durableCursor_ = c; }\n",
+     "persist-order"},
+    {"publish-only callee flagged at the dirty call site", kSelf,
+     "void pub() { NVO_FAULT_POINT(\"p\"); durableCursor_ = c; }\n"
+     "void g() { NVO_FAULT_POINT(\"x\");\n"
+     "  nvm.persist().write(a, 8, now, k);\n"
+     "  pub(); }\n",
+     "persist-order"},
+    {"publish-only callee fine after a fence", kSelf,
+     "void pub() { NVO_FAULT_POINT(\"p\"); durableCursor_ = c; }\n"
+     "void g() { NVO_FAULT_POINT(\"x\");\n"
+     "  nvm.persist().write(a, 8, now, k);\n"
+     "  nvm.persist().barrier();\n"
+     "  pub(); }\n",
+     nullptr},
+    {"persist-domain alias write without fence fires", kSelf,
+     "void f() { NVO_FAULT_POINT(\"x\");\n"
+     "  PersistDomain &d = nvm.persist();\n"
+     "  d.write(a, 8, now, k);\n"
+     "  durableCursor_ = c; }\n",
+     "persist-order"},
+    {"persist-domain alias fence is seen", kSelf,
+     "void f() { NVO_FAULT_POINT(\"x\");\n"
+     "  PersistDomain &d = nvm.persist();\n"
+     "  d.write(a, 8, now, k);\n"
+     "  d.barrier();\n"
+     "  durableCursor_ = c; }\n",
+     nullptr},
+    {"unhooked persist write fires", kSelf,
+     "void f() { nvm.persist().write(a, 8, now, k);\n"
+     "  nvm.persist().barrier(); }\n",
+     "fault-coverage"},
+    {"hook in a retry-loop condition covers the write", kSelf,
+     "void f() { while (NVO_FAULT_ERROR(\"dev\")) { retry(); }\n"
+     "  nvm.persist().write(a, 8, now, k);\n"
+     "  nvm.persist().barrier(); }\n",
+     nullptr},
+    {"branch-only hook does not cover the write", kSelf,
+     "void f() { if (slow) NVO_FAULT_POINT(\"x\");\n"
+     "  nvm.persist().write(a, 8, now, k);\n"
+     "  nvm.persist().barrier(); }\n",
+     "fault-coverage"},
+    {"hook inherited through a call", kSelf,
+     "void hook() { NVO_FAULT_POINT(\"x\"); }\n"
+     "void f() { hook();\n"
+     "  nvm.persist().write(a, 8, now, k);\n"
+     "  nvm.persist().barrier(); }\n",
+     nullptr},
+    {"caller-dependent coverage flagged at bare call", kSelf,
+     "void wr2() { nvm.persist().write(a, 8, now, k);\n"
+     "  nvm.persist().barrier(); }\n"
+     "void f() { wr2(); }\n",
+     "fault-coverage"},
+    {"caller provides the hook", kSelf,
+     "void wr2() { nvm.persist().write(a, 8, now, k);\n"
+     "  nvm.persist().barrier(); }\n"
+     "void f() { NVO_FAULT_POINT(\"x\"); wr2(); }\n",
+     nullptr},
+    {"raw NVM write fires", kSelf,
+     "void f() { nvm.write(a, 8, now, k); }\n",
+     "persist-domain"},
+    {"master mutation outside masterInsert fires", kSelf,
+     "void f() { part.master->insert(a, v, e); }\n",
+     "ledger-hook"},
+    {"master mutation inside masterInsert is sanctioned", kSelf,
+     "void masterInsert() { part.master->insert(a, v, e); }\n",
+     nullptr},
+    {"undo lambda inside masterInsert is sanctioned", kSelf,
+     "void masterInsert() {\n"
+     "  domain.stage(kind, [mt, a, old]{ mt->insert(a, old); });\n"
+     "  domain.stage(kind, [mt, a]{ mt->erase(a); }); }\n",
+     nullptr},
+    {"lambda elsewhere is not sanctioned", kSelf,
+     "void f() { run([&]{ master->erase(a); }); }\n",
+     "ledger-hook"},
+    {"dropHeader outside reclaimSubPage fires", kSelf,
+     "void f() { pool.dropHeader(a); }\n",
+     "ledger-hook"},
+    {"dropHeader inside reclaimSubPage is sanctioned", kSelf,
+     "void reclaimSubPage() { part.pool->dropHeader(a); }\n",
+     nullptr},
+    {"inline allow marker suppresses", kSelf,
+     "void f() { nvm.write(a, 8);"
+     "   // nvo-check: allow(persist-domain)\n"
+     "}\n",
+     nullptr},
+    {"comments and raw strings carry no actions", kSelf,
+     "// nvm.persist().write(a); durableCursor_ = c;\n"
+     "void f() { const char *s =\n"
+     "  R\"(nvm.write(x); master->insert(y);)\"; use(s); }\n",
+     nullptr},
+    {"switch body may be skipped", kSelf,
+     "void f() { NVO_FAULT_POINT(\"x\");\n"
+     "  nvm.persist().write(a, 8, now, k);\n"
+     "  switch (mode) {\n"
+     "  case 0: nvm.persist().barrier(); break;\n"
+     "  default: nvm.persist().barrier(); break;\n"
+     "  }\n"
+     "  durableCursor_ = c; }\n",
+     "persist-order"},
+    {"do-while body is guaranteed", kSelf,
+     "void f() { NVO_FAULT_POINT(\"x\");\n"
+     "  nvm.persist().write(a, 8, now, k);\n"
+     "  do { nvm.persist().barrier(); } while (again());\n"
+     "  durableCursor_ = c; }\n",
+     nullptr},
+};
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string allowlist_path;
-    std::string corpus_dir;
-    bool no_allowlist = false;
-    bool force_scope = false;
-    bool ast_mode = false;
-    bool self_test = false;
-    std::vector<std::string> paths;
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--self-test") {
-            self_test = true;
-        } else if (arg == "--corpus") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "--corpus needs a directory argument\n");
-                return 2;
-            }
-            corpus_dir = argv[++i];
-        } else if (arg == "--allowlist") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "--allowlist needs a file argument\n");
-                return 2;
-            }
-            allowlist_path = argv[++i];
-        } else if (arg == "--no-allowlist") {
-            no_allowlist = true;
-        } else if (arg == "--force-scope") {
-            force_scope = true;
-        } else if (arg == "--ast-json") {
-            ast_mode = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(
-                stderr,
-                "usage: nvo_check [--allowlist FILE | --no-allowlist]"
-                " [--force-scope]\n"
-                "                 [--ast-json] [--self-test]"
-                " [--corpus DIR] [PATH...]\n");
-            return 2;
-        } else {
-            paths.push_back(arg);
-        }
-    }
-
-    if (self_test)
-        return selfTest();
-    if (!corpus_dir.empty())
-        return runCorpus(corpus_dir);
-    if (paths.empty()) {
-        std::fprintf(stderr, "usage: nvo_check [options] PATH...\n"
-                             "       nvo_check --self-test\n");
-        return 2;
-    }
-
-    std::vector<AllowEntry> allow;
-    if (!no_allowlist) {
-        if (allowlist_path.empty() &&
-            fs::exists("tools/nvo_check_allow.txt"))
-            allowlist_path = "tools/nvo_check_allow.txt";
-        if (!allowlist_path.empty()) {
-            bool ok = false;
-            allow = loadAllowlist(allowlist_path, ok);
-            if (!ok) {
-                std::fprintf(stderr, "cannot read allowlist %s\n",
-                             allowlist_path.c_str());
-                return 2;
-            }
-        }
-    }
-
-    std::vector<fs::path> files;
-    for (const std::string &p : paths) {
-        std::error_code ec;
-        if (fs::is_directory(p, ec)) {
-            for (const auto &entry :
-                 fs::recursive_directory_iterator(p, ec))
-                if (entry.is_regular_file() &&
-                    checkable(entry.path()))
-                    files.push_back(entry.path());
-        } else {
-            files.push_back(p);
-        }
-    }
-    std::sort(files.begin(), files.end());
-
-    int checked = 0;
-    bool bad = false;
-    for (const fs::path &file : files) {
-        std::string display = file.generic_string();
-        if (!ast_mode && !force_scope && !inScope(display))
-            continue;
-        std::ifstream in(file);
-        std::stringstream ss;
-        ss << in.rdbuf();
-        if (!in.good() && !in.eof()) {
-            std::fprintf(stderr, "cannot read %s\n", display.c_str());
-            return 2;
-        }
-        std::vector<Violation> vs =
-            ast_mode ? checkAstText(display, ss.str(), force_scope)
-                     : checkText(display, ss.str());
-        ++checked;
-        for (const Violation &v : vs) {
-            if (v.rule == "ast-parse") {
-                std::fprintf(stderr, "%s: AST parse error: %s\n",
-                             v.file.c_str(), v.message.c_str());
-                return 2;
-            }
-            if (allowlisted(v, allow))
-                continue;
-            bad = true;
-            std::printf("%s:%d: [%s] %s\n", v.file.c_str(), v.line,
-                        v.rule.c_str(), v.message.c_str());
-        }
-    }
-    if (!bad)
-        std::printf("nvo_check: %d file(s) clean\n", checked);
-    return bad ? 1 : 0;
+    return front::run({.name = "nvo_check",
+                       .marker = "nvo-check: allow(",
+                       .allowlist = "tools/nvo_check_allow.txt",
+                       .rules = checkRules,
+                       .cases = kSelfTest,
+                       .inScope = inScope},
+                      argc, argv);
 }
