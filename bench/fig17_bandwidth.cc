@@ -16,7 +16,6 @@
 #include "bench_common.hh"
 #include "harness/system.hh"
 #include "nvoverlay/nvoverlay_scheme.hh"
-#include "baselines/picl.hh"
 #include "par/procpool.hh"
 
 using namespace nvo;
@@ -122,10 +121,8 @@ burstyRun(const Config &cfg, const std::string &scheme)
     const Cycle step = 400000;
 
     auto *nvo = dynamic_cast<NVOverlayScheme *>(&sys.scheme());
-    auto *picl = dynamic_cast<PiclScheme *>(&sys.scheme());
     std::uint64_t nvo_dflt = nvo ? nvo->storesPerEpochVdValue() : 0;
-    std::uint64_t picl_dflt =
-        sys.config().getU64("epoch.stores_refs", 65536);
+    std::uint64_t global_dflt = sys.scheme().storesPerEpoch();
     // Epoch sizes are nominal store uops; convert like the System.
     std::uint64_t upr = sys.config().getU64("epoch.uops_per_ref", 16);
 
@@ -141,12 +138,12 @@ burstyRun(const Config &cfg, const std::string &scheme)
                                  1, burst_stores[burst] / upr / 8)
                            : nvo_dflt;
             nvo->setStoresPerEpochVd(per_vd);
-        } else if (picl) {
+        } else {
             std::uint64_t refs =
                 burst >= 0 ? std::max<std::uint64_t>(
                                  1, burst_stores[burst] / upr)
-                           : picl_dflt;
-            picl->setStoresPerEpoch(refs);
+                           : global_dflt;
+            sys.scheme().setStoresPerEpoch(refs);
         }
         sys.runUntil(sys.now() + step);
         ++iter;

@@ -14,7 +14,7 @@ HwShadowScheme::HwShadowScheme(const Config &cfg, NvmModel &nvm_model,
                                RunStats &run_stats)
     : nvm(nvm_model), stats(run_stats)
 {
-    storesPerEpoch = cfg.getU64("epoch.stores_refs", 1u << 17);
+    startEpochClock(cfg);
 }
 
 Cycle
@@ -24,10 +24,8 @@ HwShadowScheme::onStore(unsigned core, unsigned vd, Addr line_addr,
     (void)core;
     (void)vd;
     dirtyLines.insert(line_addr);
-    if (++storesThisEpoch >= storesPerEpoch) {
-        storesThisEpoch = 0;
+    if (storeClosesEpoch()) {
         addGlobalStall(epochBoundary(now));
-        ++epoch_;
         ++stats.epochAdvances;
     }
     return 0;
@@ -84,7 +82,7 @@ Cycle
 HwShadowScheme::finalize(Cycle now)
 {
     Cycle stall = epochBoundary(now);
-    ++epoch_;
+    advanceEpoch();
     Cycle done = std::max(now + stall, prevPersistDone);
     return done;
 }

@@ -34,20 +34,12 @@ class HwShadowScheme : public Scheme
     Cycle onStore(unsigned core, unsigned vd, Addr line_addr,
                   Cycle now) override;
     Cycle finalize(Cycle now) override;
-    EpochWide globalEpoch() const override { return epoch_; }
-    std::uint64_t epochsCompleted() const override
-    {
-        return epoch_ - 1;
-    }
 
   private:
     Cycle epochBoundary(Cycle now);
 
     NvmModel &nvm;
     RunStats &stats;
-    std::uint64_t storesPerEpoch;
-    std::uint64_t storesThisEpoch = 0;
-    EpochWide epoch_ = 1;
     unsigned shadowSlot = 0;   ///< rotates over three versions
     Cycle prevPersistDone = 0;
     Addr mapCursor = 0;

@@ -20,7 +20,7 @@ PiclScheme::PiclScheme(const Config &cfg, NvmModel &nvm_model,
                ? static_cast<unsigned>(cfg.getU64("picl.l2_ways", 8))
                : static_cast<unsigned>(cfg.getU64("picl.ways", 16)))
 {
-    storesPerEpoch = cfg.getU64("epoch.stores_refs", 1u << 17);
+    startEpochClock(cfg);
     walkerEnabled = cfg.getBool("picl.walker_enabled", true);
     drainPerTick = static_cast<unsigned>(
         cfg.getU64("picl.drain_per_tick", 256));
@@ -54,8 +54,9 @@ PiclScheme::scheduleWalk()
     // ACS: collect dirty lines from completed epochs; drain them to
     // NVM over the following ticks (this is the epoch-boundary
     // bandwidth surge of Fig. 17).
+    const EpochWide epoch = globalEpoch();
     tags.forEachValid([&](CacheLine &line) {
-        if (line.dirty && line.oid < epoch_) {
+        if (line.dirty && line.oid < epoch) {
             drainQueue.push_back(line.addr);
             line.dirty = false;
         }
@@ -69,23 +70,24 @@ PiclScheme::onStore(unsigned core, unsigned vd, Addr line_addr,
     (void)core;
     (void)vd;
     Cycle stall = 0;
+    const EpochWide epoch = globalEpoch();
 
     CacheLine *line = tags.lookup(line_addr);
     if (line) {
-        if (line->seq != epoch_) {
+        if (line->seq != epoch) {
             // First store to this line in the current epoch: emit an
             // undo log entry (background).
             stall += writeLog(now);
-            line->seq = epoch_;
+            line->seq = epoch;
         }
-        if (line->dirty && line->oid < epoch_) {
+        if (line->dirty && line->oid < epoch) {
             // The previous epoch's version must be persisted before
             // it is overwritten (same role as NVOverlay's
             // store-eviction, but a direct NVM write here).
             stall += writeData(line_addr, now, EvictReason::StoreEvict);
         }
         line->dirty = true;
-        line->oid = epoch_;
+        line->oid = epoch;
     } else {
         line = tags.allocSlot(line_addr);
         if (line->valid() && line->dirty) {
@@ -96,15 +98,13 @@ PiclScheme::onStore(unsigned core, unsigned vd, Addr line_addr,
         line->reset();
         line->addr = line_addr;
         line->dirty = true;
-        line->oid = epoch_;
-        line->seq = epoch_;
+        line->oid = epoch;
+        line->seq = epoch;
         tags.lookup(line_addr);
         stall += writeLog(now);
     }
 
-    if (++storesThisEpoch >= storesPerEpoch) {
-        storesThisEpoch = 0;
-        ++epoch_;
+    if (storeClosesEpoch()) {
         ++stats.epochAdvances;
         scheduleWalk();
     }
@@ -126,7 +126,7 @@ PiclScheme::tick(Cycle now)
 Cycle
 PiclScheme::finalize(Cycle now)
 {
-    ++epoch_;
+    advanceEpoch();
     scheduleWalk();
     while (!drainQueue.empty())
         tick(now);

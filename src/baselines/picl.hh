@@ -44,17 +44,6 @@ class PiclScheme : public Scheme
                   Cycle now) override;
     void tick(Cycle now) override;
     Cycle finalize(Cycle now) override;
-    EpochWide globalEpoch() const override { return epoch_; }
-    std::uint64_t epochsCompleted() const override
-    {
-        return epoch_ - 1;
-    }
-
-    /** Change the epoch length mid-run (bursty-epoch experiment). */
-    void setStoresPerEpoch(std::uint64_t stores)
-    {
-        storesPerEpoch = stores;
-    }
 
     std::uint64_t drainBacklog() const { return drainQueue.size(); }
 
@@ -73,9 +62,6 @@ class PiclScheme : public Scheme
     bool l2Level;
     bool walkerEnabled;
     unsigned drainPerTick;
-    std::uint64_t storesPerEpoch;
-    std::uint64_t storesThisEpoch = 0;
-    EpochWide epoch_ = 1;
     Addr logCursor = 0;
     CacheArray tags;
     std::deque<Addr> drainQueue;

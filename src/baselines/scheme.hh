@@ -51,10 +51,26 @@ class Scheme
     virtual Cycle finalize(Cycle now) { return now; }
 
     /** Scheme's notion of the current (global) epoch. */
-    virtual EpochWide globalEpoch() const { return 0; }
+    virtual EpochWide globalEpoch() const { return epoch_; }
 
-    /** Epochs completed so far (for experiment bookkeeping). */
-    virtual std::uint64_t epochsCompleted() const { return 0; }
+    /** Epochs completed so far (for experiment bookkeeping). The
+     *  global clock starts at epoch 1; a scheme that never starts it
+     *  (none) stays at epoch 0 with none completed. */
+    virtual std::uint64_t
+    epochsCompleted() const
+    {
+        return epoch_ ? epoch_ - 1 : 0;
+    }
+
+    /** Global epoch length in stores. NVOverlay paces each VD on its
+     *  own (`nvo.stores_per_epoch_vd`) and never reads it. */
+    std::uint64_t storesPerEpoch() const { return storesPerEpoch_; }
+
+    /** Change the epoch length mid-run (bursty-epoch experiment). */
+    void setStoresPerEpoch(std::uint64_t stores)
+    {
+        storesPerEpoch_ = stores;
+    }
 
     /**
      * Refresh derived RunStats aggregates (table sizes, pool usage)
@@ -87,8 +103,41 @@ class Scheme
   protected:
     void addGlobalStall(Cycle s) { globalStallPending += s; }
 
+    /** Start the global epoch clock the baselines share: epoch 1,
+     *  closed every `epoch.stores_refs` stores. */
+    void
+    startEpochClock(const Config &cfg)
+    {
+        epoch_ = 1;
+        storesPerEpoch_ = cfg.getU64("epoch.stores_refs", 1u << 17);
+    }
+
+    /** Count one store against the clock. Returns true when it closes
+     *  the epoch; globalEpoch() is then already the next one. */
+    bool
+    storeClosesEpoch()
+    {
+        if (++storesThisEpoch_ < storesPerEpoch_)
+            return false;
+        advanceEpoch();
+        return true;
+    }
+
+    /** Close the current epoch (also the end-of-run flush). */
+    void
+    advanceEpoch()
+    {
+        storesThisEpoch_ = 0;
+        ++epoch_;
+    }
+
     Hierarchy *hier = nullptr;
     Cycle globalStallPending = 0;
+
+  private:
+    EpochWide epoch_ = 0;
+    std::uint64_t storesPerEpoch_ = 0;
+    std::uint64_t storesThisEpoch_ = 0;
 };
 
 /**

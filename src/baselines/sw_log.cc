@@ -14,7 +14,7 @@ SwLogScheme::SwLogScheme(const Config &cfg, NvmModel &nvm_model,
                          RunStats &run_stats)
     : nvm(nvm_model), stats(run_stats), logCursor(logRegionBase)
 {
-    storesPerEpoch = cfg.getU64("epoch.stores_refs", 1u << 17);
+    startEpochClock(cfg);
 }
 
 Cycle
@@ -38,10 +38,8 @@ SwLogScheme::onStore(unsigned core, unsigned vd, Addr line_addr,
         EvictReason::Coherence)];
     loggedLines.insert(line_addr);
 
-    if (++storesThisEpoch >= storesPerEpoch) {
-        storesThisEpoch = 0;
+    if (storeClosesEpoch()) {
         addGlobalStall(flushEpoch(now + stall));
-        ++epoch_;
         ++stats.epochAdvances;
     }
     return stall;
@@ -68,7 +66,7 @@ Cycle
 SwLogScheme::finalize(Cycle now)
 {
     Cycle stall = flushEpoch(now);
-    ++epoch_;
+    advanceEpoch();
     return now + stall;
 }
 

@@ -30,11 +30,6 @@ class SwLogScheme : public Scheme
     Cycle onStore(unsigned core, unsigned vd, Addr line_addr,
                   Cycle now) override;
     Cycle finalize(Cycle now) override;
-    EpochWide globalEpoch() const override { return epoch_; }
-    std::uint64_t epochsCompleted() const override
-    {
-        return epoch_ - 1;
-    }
 
   private:
     /** Synchronous epoch-boundary flush of the write set. */
@@ -42,9 +37,6 @@ class SwLogScheme : public Scheme
 
     NvmModel &nvm;
     RunStats &stats;
-    std::uint64_t storesPerEpoch;
-    std::uint64_t storesThisEpoch = 0;
-    EpochWide epoch_ = 1;
     Addr logCursor;
     std::unordered_set<Addr> loggedLines;
 };

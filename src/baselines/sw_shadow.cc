@@ -14,7 +14,7 @@ SwShadowScheme::SwShadowScheme(const Config &cfg, NvmModel &nvm_model,
                                RunStats &run_stats)
     : nvm(nvm_model), stats(run_stats)
 {
-    storesPerEpoch = cfg.getU64("epoch.stores_refs", 1u << 17);
+    startEpochClock(cfg);
     txnStores = cfg.getU64("sw.txn_stores", 16);
 }
 
@@ -36,10 +36,8 @@ SwShadowScheme::onStore(unsigned core, unsigned vd, Addr line_addr,
         stall += flushTxn(now);
     }
 
-    if (++storesThisEpoch >= storesPerEpoch) {
-        storesThisEpoch = 0;
+    if (storeClosesEpoch()) {
         shadowSide = !shadowSide;
-        ++epoch_;
         ++stats.epochAdvances;
     }
     return stall;
@@ -73,7 +71,7 @@ Cycle
 SwShadowScheme::finalize(Cycle now)
 {
     Cycle stall = flushTxn(now);
-    ++epoch_;
+    advanceEpoch();
     return now + stall;
 }
 

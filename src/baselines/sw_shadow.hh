@@ -31,11 +31,6 @@ class SwShadowScheme : public Scheme
     Cycle onStore(unsigned core, unsigned vd, Addr line_addr,
                   Cycle now) override;
     Cycle finalize(Cycle now) override;
-    EpochWide globalEpoch() const override { return epoch_; }
-    std::uint64_t epochsCompleted() const override
-    {
-        return epoch_ - 1;
-    }
 
   private:
     /** Synchronous transaction-boundary flush. */
@@ -43,11 +38,8 @@ class SwShadowScheme : public Scheme
 
     NvmModel &nvm;
     RunStats &stats;
-    std::uint64_t storesPerEpoch;
     std::uint64_t txnStores;
-    std::uint64_t storesThisEpoch = 0;
     std::uint64_t storesThisTxn = 0;
-    EpochWide epoch_ = 1;
     bool shadowSide = false;   ///< ping-pong shadow region
     Addr mapCursor = 0;
     std::unordered_set<Addr> txnDirty;

@@ -35,11 +35,7 @@ Hierarchy::Hierarchy(const Params &params, BackingStore &backing_store,
 EpochWide
 Hierarchy::curEpoch(unsigned vd) const
 {
-    if (vctrl)
-        return vctrl->vdEpoch(vd);
-    if (epochFn)
-        return epochFn(vd);
-    return 0;
+    return vctrl ? vctrl->vdEpoch(vd) : 0;
 }
 
 unsigned

@@ -34,7 +34,6 @@
 #ifndef NVO_CACHE_HIERARCHY_HH
 #define NVO_CACHE_HIERARCHY_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -81,16 +80,6 @@ class Hierarchy
 
     /** Install NVOverlay version control (enables the CST protocol). */
     void setVersionCtrl(VersionCtrl *ctrl) { vctrl = ctrl; }
-
-    /**
-     * Epoch provider for non-versioned runs (baselines tag commits
-     * with the scheme's global epoch). Versioned runs use the
-     * VersionCtrl's per-VD epochs instead.
-     */
-    void setEpochSource(std::function<EpochWide(unsigned)> fn)
-    {
-        epochFn = std::move(fn);
-    }
 
     /** Optional write-history recorder for verification. */
     void setWriteTracker(WriteTracker *tracker) { wtracker = tracker; }
@@ -184,7 +173,9 @@ class Hierarchy
     }
 
   private:
-    /** Epoch of VD @p vd under the active mode. */
+    /** Epoch of VD @p vd: the VersionCtrl's, else 0. Baselines keep
+     *  their own epoch clock, and nothing reads the tag they would
+     *  commit with. */
     EpochWide curEpoch(unsigned vd) const;
 
     bool versioned() const { return vctrl != nullptr; }
@@ -279,7 +270,6 @@ class Hierarchy
     DramModel &dram;
     RunStats &stats;
     VersionCtrl *vctrl = nullptr;
-    std::function<EpochWide(unsigned)> epochFn;
     WriteTracker *wtracker = nullptr;
     SeqNo seqCounter = 0;
 

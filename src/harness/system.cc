@@ -151,12 +151,6 @@ System::build(const std::string &scheme_name)
     scheme_ = makeScheme(scheme_name, cfg_, *nvm_, stats_);
     scheme_->attach(*hier);
 
-    // Baselines tag commits with their global epoch; NVOverlay
-    // installs itself as the hierarchy's VersionCtrl in attach().
-    Scheme *raw = scheme_.get();
-    hier->setEpochSource(
-        [raw](unsigned) { return raw->globalEpoch(); });
-
     Core::Params cp;
     cp.issueWidth =
         static_cast<unsigned>(cfg_.getU64("sys.issue_width", 4));
@@ -246,7 +240,7 @@ System::build(const std::string &scheme_name)
                 cfg_.getU64("stats.series_max", 0)));
     }
 
-    // Adaptive policy engine (ROADMAP item 5). has()-gated: runs
+    // Adaptive policy engine (docs/POLICY.md). has()-gated: runs
     // without the key resolve no policy.* defaults, so their config
     // dump and stats JSON stay byte-identical.
     if (cfg_.has("policy.enabled") &&

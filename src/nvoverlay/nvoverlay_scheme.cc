@@ -131,7 +131,7 @@ NVOverlayScheme::advanceVd(unsigned vd, EpochWide target, bool lamport,
 
     NVO_TRACE(Epoch, EpochAdvance, obs::trackVd(vd), now, target,
               lamport ? 1 : 0);
-    vds[vd].advance(target, lamport);
+    vds[vd].advance(target);
     sense->onAdvance(vd, target);
     ++stats.epochAdvances;
     if (lamport)
@@ -292,10 +292,7 @@ NVOverlayScheme::globalEpoch() const
 std::uint64_t
 NVOverlayScheme::epochsCompleted() const
 {
-    std::uint64_t total = 0;
-    for (const auto &vd : vds)
-        total += vd.advances();
-    return total;
+    return stats.epochAdvances;
 }
 
 void

@@ -84,8 +84,6 @@ class NVOverlayScheme : public Scheme, public VersionCtrl
     /** Replication bundle; nullptr unless `repl.enabled=1`. */
     repl::Replicator *replicator() { return repl_.get(); }
 
-    /** Tenant policy bundle; nullptr unless `tenant.enabled=1`. */
-    tenant::TenantManager *tenantManager() { return tm_.get(); }
     const VersionedDomain &domain(unsigned vd) const
     {
         return vds[vd];
@@ -94,10 +92,6 @@ class NVOverlayScheme : public Scheme, public VersionCtrl
     unsigned numVds() const
     {
         return static_cast<unsigned>(vds.size());
-    }
-    const tenant::TenantManager *tenantManager() const
-    {
-        return tm_.get();
     }
     const EpochSenseTracker &senseTracker() const { return *sense; }
 

@@ -305,6 +305,22 @@ MnmBackend::unref(unsigned oidx, Part &part, Addr line_addr,
 }
 
 void
+MnmBackend::remapRelocated(Part &part, const EpochTable &table,
+                           const EpochTable::PageEntry &pe)
+{
+    for (unsigned li = 0; li < linesPerPage; ++li) {
+        if (!((pe.bitmap >> li) & 1ull))
+            continue;
+        const Addr line_addr =
+            pe.pageAddr + static_cast<Addr>(li) * lineBytes;
+        const auto *entry = part.master->lookup(line_addr);
+        if (entry && entry->epoch == table.epochId())
+            masterInsert(part, line_addr, table.lookupNvm(line_addr),
+                         table.epochId());
+    }
+}
+
+void
 MnmBackend::reclaimSubPage(Part &part, EpochTable::PageEntry &pe)
 {
     // Every version buried here already exited the ledger: unref
@@ -528,6 +544,10 @@ MnmBackend::compact(Cycle now)
                 NVO_FAULT_POINT("omc.compact.copy");
                 LineData content;
                 table.readVersion(line_addr, content);
+                const EpochTable::PageEntry *before =
+                    target.pageEntry(pageAlign(line_addr));
+                const Addr old_sub =
+                    before ? before->subPage : invalidAddr;
                 bool ok = target.insert(line_addr, ~static_cast<SeqNo>(0),
                                         content, sinks);
                 if (!ok)
@@ -535,11 +555,15 @@ MnmBackend::compact(Cycle now)
                 NVO_LEDGER(insertVersion(
                     oidx, line_addr, recEpoch_,
                     obs::LedgerCause::CompactionCopy, now));
+                EpochTable::PageEntry *tpe =
+                    target.pageEntry(pageAlign(line_addr));
+                // The target is already merged: a grow() moved
+                // versions the master maps by address.
+                if (old_sub != invalidAddr && tpe->subPage != old_sub)
+                    remapRelocated(part, target, *tpe);
                 Addr fresh = target.lookupNvm(line_addr);
                 auto replaced = masterInsert(part, line_addr, fresh,
                                              recEpoch_);
-                EpochTable::PageEntry *tpe =
-                    target.pageEntry(pageAlign(line_addr));
                 ++tpe->liveMaster;
                 // The source version moved (not died); mark it first
                 // so the unref of its replaced master entry — the
@@ -860,16 +884,6 @@ MnmBackend::poolPagesTotal() const
     std::uint64_t total = 0;
     for (const auto &part : parts)
         total += part.pool->totalPages();
-    return total;
-}
-
-std::uint64_t
-MnmBackend::bufferOccupancyTotal() const
-{
-    std::uint64_t total = 0;
-    for (const auto &part : parts)
-        if (part.buffer)
-            total += part.buffer->occupancy();
     return total;
 }
 

@@ -230,9 +230,6 @@ class MnmBackend
     std::uint64_t epochTableBytesTotal() const;
     std::uint64_t poolPagesInUseTotal() const;
     std::uint64_t poolPagesTotal() const;
-    /** Buffered pending writes across partitions (0 when the OMC
-     *  write buffer is disabled). */
-    std::uint64_t bufferOccupancyTotal() const;
 
   private:
     struct Part
@@ -274,6 +271,12 @@ class MnmBackend
      *  superseded version's drop in the provenance ledger. */
     void unref(unsigned oidx, Part &part, Addr line_addr,
                const MasterTable::Entry &old_entry, Cycle now);
+
+    /** Re-point the master entries that map @p pe's versions at
+     *  @p table's epoch after a grow() moved them to a new sub-page
+     *  and freed the old one. */
+    void remapRelocated(Part &part, const EpochTable &table,
+                        const EpochTable::PageEntry &pe);
 
     /** Reclaim one sub-page's NVM storage (header + lines). The only
      *  sanctioned drop site; every version it buries was already

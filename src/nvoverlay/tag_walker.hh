@@ -59,12 +59,6 @@ class TagWalker
 
     std::uint64_t walksCompleted() const { return walks; }
 
-    /** Drain-rate knob for the adaptive policy engine: raise to burn
-     *  down merge backlog faster, lower to restore the configured
-     *  aggressiveness. */
-    void setLinesPerTick(unsigned lines) { p.linesPerTick = lines; }
-    unsigned linesPerTick() const { return p.linesPerTick; }
-
     /**
      * Invariant sweep (NVO_AUDIT), paper Sec. IV-C / V-B: a disabled
      * walker holds no work; queued versions are line aligned and

@@ -6,14 +6,11 @@ namespace nvo
 {
 
 void
-VersionedDomain::advance(EpochWide target, bool lamport)
+VersionedDomain::advance(EpochWide target)
 {
     nvo_assert(target > cur, "epoch advance must move forward");
     cur = target;
     storesThisEpoch = 0;
-    ++advanceCount;
-    if (lamport)
-        ++lamportCount;
 }
 
 } // namespace nvo

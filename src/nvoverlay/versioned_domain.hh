@@ -35,19 +35,14 @@ class VersionedDomain
 
     /**
      * Advance to @p target (must be > current). Resets the per-epoch
-     * store counter. @p lamport marks coherence-driven advances.
+     * store counter. The scheme counts advances in RunStats.
      */
-    void advance(EpochWide target, bool lamport);
-
-    std::uint64_t advances() const { return advanceCount; }
-    std::uint64_t lamportAdvances() const { return lamportCount; }
+    void advance(EpochWide target);
 
   private:
     unsigned vdId;
     EpochWide cur;
     std::uint64_t storesThisEpoch = 0;
-    std::uint64_t advanceCount = 0;
-    std::uint64_t lamportCount = 0;
 };
 
 } // namespace nvo

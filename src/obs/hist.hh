@@ -2,7 +2,7 @@
  * @file
  * Fixed-footprint log-bucketed latency/size histogram (HDR style).
  *
- * The speed campaign (ROADMAP item 3) needs distributions, not
+ * Host-speed work (docs/OBSERVABILITY.md) needs distributions, not
  * averages: a radix walk that is usually 2 levels deep but
  * occasionally 5, or a page-pool scan that degrades from O(1) to a
  * full bitmap sweep, is invisible in a mean. A Histogram records

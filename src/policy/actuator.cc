@@ -27,20 +27,6 @@ Actuator::setEpochLength(Cycle now, std::uint64_t stores,
 }
 
 void
-Actuator::setWalkerLinesPerTick(Cycle now, unsigned lines)
-{
-    if (scheme_.numVds() == 0 ||
-        scheme_.walker(0).linesPerTick() == lines)
-        return;
-    for (unsigned vd = 0; vd < scheme_.numVds(); ++vd)
-        scheme_.walker(vd).setLinesPerTick(lines);
-    ++walkerSets_;
-    NVO_TRACE(Policy, PolicyActuate, obs::trackSim, now,
-              static_cast<std::uint64_t>(Knob::WalkerLinesPerTick),
-              lines);
-}
-
-void
 Actuator::triggerCompaction(Cycle now)
 {
     scheme_.backend().compact(now);
@@ -48,21 +34,6 @@ Actuator::triggerCompaction(Cycle now)
     NVO_TRACE(Policy, PolicyActuate, obs::trackSim, now,
               static_cast<std::uint64_t>(Knob::Compaction),
               compactions_);
-}
-
-void
-Actuator::setTenantRate(Cycle now, tenant::Asid asid,
-                        std::uint64_t bytes_per_kcycle)
-{
-    tenant::TenantManager *tm = scheme_.tenantManager();
-    if (!tm)
-        return;
-    tm->setQosRate(asid, bytes_per_kcycle);
-    ++tenantSets_;
-    NVO_TRACE(Policy, PolicyActuate, obs::trackSim, now,
-              static_cast<std::uint64_t>(Knob::TenantQosRate),
-              (static_cast<std::uint64_t>(asid) << 48) |
-                  (bytes_per_kcycle & 0xffffffffffffull));
 }
 
 } // namespace policy

@@ -4,9 +4,10 @@
  * touches the running system.
  *
  * Controllers never reach into the scheme directly — every knob
- * change funnels through one of these methods, which clamps the
- * value, counts the actuation, and emits a `policy_actuate` trace
- * event. That keeps the engine's side effects enumerable (the audit
+ * change (the per-VD epoch length, a backend compaction pass)
+ * funnels through one of these methods, which clamps the value,
+ * counts the actuation, and emits a `policy_actuate` trace event.
+ * That keeps the engine's side effects enumerable (the audit
  * counters are exported into `RunStats::extra`) and gives Chrome
  * traces a complete record of when and how the controllers steered
  * the run.
@@ -18,7 +19,6 @@
 #include <cstdint>
 
 #include "common/types.hh"
-#include "tenant/asid.hh"
 
 namespace nvo
 {
@@ -28,13 +28,13 @@ class NVOverlayScheme;
 namespace policy
 {
 
-/** Knob identifiers (`policy_actuate` trace a0). */
+/** Knob identifiers (`policy_actuate` trace a0). The values are
+ *  stable trace ids, so a recorded trace decodes across versions;
+ *  1 and 3 belonged to retired knobs. */
 enum class Knob : std::uint64_t
 {
     EpochLength = 0,
-    WalkerLinesPerTick,
-    Compaction,
-    TenantQosRate,
+    Compaction = 2,
 };
 
 class Actuator
@@ -48,29 +48,17 @@ class Actuator
                                  std::uint64_t min_stores,
                                  std::uint64_t max_stores);
 
-    /** Set every VD walker's drain rate (no-op when unchanged). */
-    void setWalkerLinesPerTick(Cycle now, unsigned lines);
-
     /** Run one backend compaction pass. */
     void triggerCompaction(Cycle now);
 
-    /** Pace one tenant (0 clears the override). Requires a
-     *  TenantManager; silently ignored otherwise. */
-    void setTenantRate(Cycle now, tenant::Asid asid,
-                       std::uint64_t bytes_per_kcycle);
-
     // --- Audit counters (exported via PolicyEngine::exportStats) ---
     std::uint64_t epochSets() const { return epochSets_; }
-    std::uint64_t walkerSets() const { return walkerSets_; }
     std::uint64_t compactions() const { return compactions_; }
-    std::uint64_t tenantSets() const { return tenantSets_; }
 
   private:
     NVOverlayScheme &scheme_;
     std::uint64_t epochSets_ = 0;
-    std::uint64_t walkerSets_ = 0;
     std::uint64_t compactions_ = 0;
-    std::uint64_t tenantSets_ = 0;
 };
 
 } // namespace policy

@@ -8,7 +8,6 @@
 #include "obs/json.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
-#include "tenant/tenant.hh"
 
 namespace nvo
 {
@@ -20,9 +19,7 @@ toString(Ctrl c)
 {
     switch (c) {
       case Ctrl::Epoch: return "epoch";
-      case Ctrl::Walker: return "walker";
       case Ctrl::Compact: return "compact";
-      case Ctrl::Tenant: return "tenant";
       default: return "?";
     }
 }
@@ -38,20 +35,12 @@ Params::fromConfig(const Config &cfg)
         cfg.getU64("policy.epoch.ki", 1));
     p.epochMin = cfg.getU64("policy.epoch.min", 16);
     p.epochMax = cfg.getU64("policy.epoch.max", 1024);
-    p.walkerHi = static_cast<std::int64_t>(
-        cfg.getU64("policy.walker.hi", 0));
-    p.walkerLo = static_cast<std::int64_t>(
-        cfg.getU64("policy.walker.lo", 1));
-    p.walkerBoost = static_cast<unsigned>(
-        cfg.getU64("policy.walker.boost_lines", 256));
     p.compactHi = static_cast<std::int64_t>(
         cfg.getU64("policy.compact.hi", 0));
     p.compactLo = static_cast<std::int64_t>(
         cfg.getU64("policy.compact.lo", 0));
     p.compactSlopeW = static_cast<std::int64_t>(
         cfg.getU64("policy.compact.slope_w", 4));
-    p.tenantPace = cfg.getBool("policy.tenant.pace", false);
-    p.tenantMinRate = cfg.getU64("policy.tenant.min_rate", 4096);
     return p;
 }
 
@@ -87,26 +76,12 @@ PolicyEngine::PolicyEngine(NVOverlayScheme &scheme,
                            const RunStats &stats, const Params &params)
     : scheme_(scheme), p_(params), bus_(scheme, stats), act_(scheme),
       epochPid_(epochPidParams(params)),
-      walkerHys_({params.walkerHi, params.walkerLo, false}),
-      compactHys_({params.compactHi, params.compactLo, false}),
-      tenantHys_({static_cast<std::int64_t>(params.bwBudget),
-                  static_cast<std::int64_t>(params.bwBudget -
-                                            params.bwBudget / 8),
-                  false})
+      compactHys_({params.compactHi, params.compactLo, false})
 {
-    walkerNormal_ =
-        scheme_.numVds() ? scheme_.walker(0).linesPerTick() : 0;
-    g_[static_cast<std::size_t>(Ctrl::Epoch)].setpoint = p_.bwBudget;
-    g_[static_cast<std::size_t>(Ctrl::Epoch)].output =
-        scheme_.storesPerEpochVdValue();
-    g_[static_cast<std::size_t>(Ctrl::Walker)].setpoint =
-        static_cast<std::uint64_t>(std::max<std::int64_t>(
-            p_.walkerHi, 0));
-    g_[static_cast<std::size_t>(Ctrl::Walker)].output = walkerNormal_;
-    g_[static_cast<std::size_t>(Ctrl::Compact)].setpoint =
-        static_cast<std::uint64_t>(std::max<std::int64_t>(
-            p_.compactHi, 0));
-    g_[static_cast<std::size_t>(Ctrl::Tenant)].setpoint = p_.bwBudget;
+    epochGauge_.setpoint = p_.bwBudget;
+    epochGauge_.output = scheme_.storesPerEpochVdValue();
+    compactGauge_.setpoint = static_cast<std::uint64_t>(
+        std::max<std::int64_t>(p_.compactHi, 0));
     registerGauges();
 }
 
@@ -118,19 +93,18 @@ PolicyEngine::registerGauges()
     {
         Ctrl c;
         bool enabled;
+        const GaugeSet *gauge;
     };
     const Row rows[] = {
-        {Ctrl::Epoch, p_.bwBudget > 0},
-        {Ctrl::Walker, p_.walkerHi > 0},
-        {Ctrl::Compact, p_.compactHi > 0},
-        {Ctrl::Tenant, p_.tenantPace && p_.bwBudget > 0},
+        {Ctrl::Epoch, p_.bwBudget > 0, &epochGauge_},
+        {Ctrl::Compact, p_.compactHi > 0, &compactGauge_},
     };
     for (const Row &r : rows) {
         if (!r.enabled)
             continue;
         const std::string base =
             std::string("policy.") + toString(r.c);
-        const GaugeSet *g = &g_[static_cast<std::size_t>(r.c)];
+        const GaugeSet *g = r.gauge;
         reg.addGauge(base + ".setpoint",
                      [g] { return g->setpoint; });
         reg.addGauge(base + ".measured",
@@ -148,12 +122,8 @@ PolicyEngine::onEpochBoundary(Cycle now)
         return;   // first boundary primes the frame history
     if (p_.bwBudget)
         stepEpochPacer(now, s);
-    if (p_.walkerHi > 0)
-        stepWalker(now, s);
     if (p_.compactHi > 0)
         stepCompact(now, s);
-    if (p_.tenantPace && p_.bwBudget)
-        stepTenantPacer(now, s);
 }
 
 void
@@ -195,24 +165,9 @@ PolicyEngine::stepEpochPacer(Cycle now, const Signals &s)
         p_.epochMax);
     NVO_TRACE(Policy, PolicyDecision, obs::trackSim, now,
               static_cast<std::uint64_t>(Ctrl::Epoch), applied);
-    GaugeSet &g = g_[static_cast<std::size_t>(Ctrl::Epoch)];
-    g.measured =
+    epochGauge_.measured =
         static_cast<std::uint64_t>(std::max<std::int64_t>(bwEma_, 0));
-    g.output = applied;
-}
-
-void
-PolicyEngine::stepWalker(Cycle now, const Signals &s)
-{
-    bool hot = walkerHys_.step(s.mergeBacklog);
-    unsigned lines = hot ? p_.walkerBoost : walkerNormal_;
-    act_.setWalkerLinesPerTick(now, lines);
-    NVO_TRACE(Policy, PolicyDecision, obs::trackSim, now,
-              static_cast<std::uint64_t>(Ctrl::Walker), lines);
-    GaugeSet &g = g_[static_cast<std::size_t>(Ctrl::Walker)];
-    g.measured = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(s.mergeBacklog, 0));
-    g.output = lines;
+    epochGauge_.output = applied;
 }
 
 void
@@ -229,52 +184,9 @@ PolicyEngine::stepCompact(Cycle now, const Signals &s)
     NVO_TRACE(Policy, PolicyDecision, obs::trackSim, now,
               static_cast<std::uint64_t>(Ctrl::Compact),
               hot ? 1u : 0u);
-    GaugeSet &g = g_[static_cast<std::size_t>(Ctrl::Compact)];
-    g.measured = static_cast<std::uint64_t>(
+    compactGauge_.measured = static_cast<std::uint64_t>(
         std::max<std::int64_t>(projected, 0));
-    g.output = hot ? 1 : 0;
-}
-
-void
-PolicyEngine::stepTenantPacer(Cycle now, const Signals &s)
-{
-    tenant::TenantManager *tm = scheme_.tenantManager();
-    if (!tm)
-        return;
-    bool over = tenantHys_.step(s.bwBytesPerKCycle);
-    if (over) {
-        std::uint64_t total = 0;
-        for (const auto &kv : s.tenantDeltaBytes)
-            total += kv.second;
-        if (total) {
-            // Demand-proportional split of the budget (JASS-style
-            // pacing): each tenant keeps its share of the recent
-            // traffic mix, floored so a quiet tenant is never
-            // starved outright.
-            for (const auto &kv : s.tenantDeltaBytes) {
-                std::uint64_t rate =
-                    p_.bwBudget * kv.second / total;
-                act_.setTenantRate(
-                    now, kv.first,
-                    std::max(rate, p_.tenantMinRate));
-            }
-            tenantPaced_ = true;
-        }
-    } else if (tenantPaced_) {
-        tm->forEachTenant(
-            [this, now](tenant::Asid asid,
-                        const tenant::TenantManager::PerTenant &) {
-                act_.setTenantRate(now, asid, 0);
-            });
-        tenantPaced_ = false;
-    }
-    NVO_TRACE(Policy, PolicyDecision, obs::trackSim, now,
-              static_cast<std::uint64_t>(Ctrl::Tenant),
-              tenantPaced_ ? 1u : 0u);
-    GaugeSet &g = g_[static_cast<std::size_t>(Ctrl::Tenant)];
-    g.measured = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(s.bwBytesPerKCycle, 0));
-    g.output = tenantPaced_ ? 1 : 0;
+    compactGauge_.output = hot ? 1 : 0;
 }
 
 void
@@ -284,9 +196,7 @@ PolicyEngine::exportStats(RunStats &stats) const
     stats.extra["policy_epoch_sets"] = act_.epochSets();
     stats.extra["policy_epoch_len"] =
         scheme_.storesPerEpochVdValue();
-    stats.extra["policy_walker_sets"] = act_.walkerSets();
     stats.extra["policy_compactions"] = act_.compactions();
-    stats.extra["policy_tenant_sets"] = act_.tenantSets();
 }
 
 void
@@ -299,17 +209,16 @@ PolicyEngine::writeJson(obs::JsonWriter &w) const
     {
         Ctrl c;
         bool enabled;
+        const GaugeSet *gauge;
         std::uint64_t actuations;
     };
     const Row rows[] = {
-        {Ctrl::Epoch, p_.bwBudget > 0, act_.epochSets()},
-        {Ctrl::Walker, p_.walkerHi > 0, act_.walkerSets()},
-        {Ctrl::Compact, p_.compactHi > 0, act_.compactions()},
-        {Ctrl::Tenant, p_.tenantPace && p_.bwBudget > 0,
-         act_.tenantSets()},
+        {Ctrl::Epoch, p_.bwBudget > 0, &epochGauge_, act_.epochSets()},
+        {Ctrl::Compact, p_.compactHi > 0, &compactGauge_,
+         act_.compactions()},
     };
     for (const Row &r : rows) {
-        const GaugeSet &g = g_[static_cast<std::size_t>(r.c)];
+        const GaugeSet &g = *r.gauge;
         w.key(toString(r.c)).beginObject();
         w.kv("enabled", r.enabled);
         w.kv("setpoint", g.setpoint);

@@ -4,22 +4,15 @@
  * protocol (docs/POLICY.md).
  *
  * Evaluated by the harness at every epoch boundary, the engine runs
- * up to four controllers over the SignalBus's derived signals:
+ * up to two controllers over the SignalBus's derived signals:
  *
  *  - epoch pacer: a PI controller stretches/shrinks the per-VD epoch
  *    length to hold NVM write bandwidth at `nvm.write_bw_budget`
  *    (longer epochs -> fewer context dumps, merges and re-walks of
  *    the same line -> less metadata bandwidth, and vice versa);
- *  - walker governor: hysteresis on merge backlog (globalEpoch -
- *    recEpoch) boosts tag-walker drain rate when snapshots lag and
- *    restores the configured rate once the backlog is burned down;
  *  - compaction governor: hysteresis on pool occupancy plus a
  *    weighted occupancy slope triggers backend compaction passes
- *    while the projected occupancy stays above the high threshold;
- *  - tenant pacer (JASS-style): when aggregate bandwidth exceeds the
- *    budget, each tenant's QoS rate is overridden to its
- *    demand-proportional share of the budget; overrides clear once
- *    the aggregate falls back through the release threshold.
+ *    while the projected occupancy stays above the high threshold.
  *
  * Every decision is a pure function of sampled simulated state, so
  * runs are byte-identical from host to host; with `policy.enabled`
@@ -52,14 +45,13 @@ class JsonWriter;
 namespace policy
 {
 
-/** Controller identifiers (`policy_decision` trace a0, gauge names). */
+/** Controller identifiers (`policy_decision` trace a0, gauge names).
+ *  The values are stable trace ids, so a recorded trace decodes
+ *  across versions; 1 and 3 belonged to retired controllers. */
 enum class Ctrl : std::uint64_t
 {
     Epoch = 0,
-    Walker,
-    Compact,
-    Tenant,
-    NumCtrls
+    Compact = 2,
 };
 
 const char *toString(Ctrl c);
@@ -82,22 +74,12 @@ struct Params
      *  outweighs the metadata savings). */
     std::uint64_t epochMin = 16;
     std::uint64_t epochMax = 1024;
-    // --- Walker governor (off unless walkerHi > 0) ---
-    /** Merge-backlog engage/release thresholds, in epochs. */
-    std::int64_t walkerHi = 0;
-    std::int64_t walkerLo = 1;
-    /** Boosted drain rate, lines per tick. */
-    unsigned walkerBoost = 256;
     // --- Compaction governor (off unless compactHi > 0) ---
     /** Occupancy engage/release thresholds, permille of the pool. */
     std::int64_t compactHi = 0;
     std::int64_t compactLo = 0;
     /** Occupancy-slope weight in the projected-occupancy measure. */
     std::int64_t compactSlopeW = 4;
-    // --- Tenant pacer (off unless tenantPace && bwBudget > 0) ---
-    bool tenantPace = false;
-    /** Floor for a paced tenant's rate, bytes per 1024 cycles. */
-    std::uint64_t tenantMinRate = 4096;
 
     /** Read the policy.* keys (caller gates on policy.enabled). */
     static Params fromConfig(const Config &cfg);
@@ -132,9 +114,7 @@ class PolicyEngine
     };
 
     void stepEpochPacer(Cycle now, const Signals &s);
-    void stepWalker(Cycle now, const Signals &s);
     void stepCompact(Cycle now, const Signals &s);
-    void stepTenantPacer(Cycle now, const Signals &s);
     void registerGauges();
 
     NVOverlayScheme &scheme_;
@@ -142,20 +122,16 @@ class PolicyEngine
     SignalBus bus_;
     Actuator act_;
     PidController epochPid_;
-    HysteresisController walkerHys_;
     HysteresisController compactHys_;
-    HysteresisController tenantHys_;
 
-    /** The configured walker rate, restored when the boost ends. */
-    unsigned walkerNormal_ = 0;
     /** EMA-filtered bandwidth (B/Kcycle); -1 until primed. Short
      *  epochs make the per-boundary measurement extremely noisy
      *  (small cycle windows quantize hard), so the pacer controls the
      *  smoothed signal. */
     std::int64_t bwEma_ = -1;
-    bool tenantPaced_ = false;
     std::uint64_t evals_ = 0;
-    GaugeSet g_[static_cast<std::size_t>(Ctrl::NumCtrls)];
+    GaugeSet epochGauge_;
+    GaugeSet compactGauge_;
 };
 
 } // namespace policy

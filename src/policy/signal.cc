@@ -3,7 +3,6 @@
 #include "common/stats.hh"
 #include "nvoverlay/nvoverlay_scheme.hh"
 #include "nvoverlay/omc.hh"
-#include "tenant/tenant.hh"
 
 namespace nvo
 {
@@ -15,24 +14,11 @@ SignalBus::capture(Cycle now) const
 {
     Frame f;
     f.valid = true;
-    f.epoch = scheme_.globalEpoch();
     f.cycle = now;
     f.nvmWriteBytes = stats_.totalNvmWriteBytes();
-    f.stores = stats_.stores;
     const MnmBackend &be = scheme_.backend();
     f.poolPagesInUse = be.poolPagesInUseTotal();
     f.poolPagesTotal = be.poolPagesTotal();
-    f.bufferOccupancy = be.bufferOccupancyTotal();
-    std::uint64_t rec = be.recEpoch();
-    f.mergeBacklog = f.epoch > rec ? f.epoch - rec : 0;
-    if (const tenant::TenantManager *tm = scheme_.tenantManager()) {
-        tm->forEachTenant([&f](tenant::Asid asid,
-                               const tenant::TenantManager::PerTenant
-                                   &t) {
-            f.tenantBytes.emplace_back(asid, t.dataBytes);
-            f.tenantStallCycles += t.throttleStallCycles;
-        });
-    }
     return f;
 }
 
@@ -44,10 +30,9 @@ SignalBus::sample(Cycle now)
     if (prev_.valid && cur.cycle > prev_.cycle) {
         s.valid = true;
         s.deltaCycles = cur.cycle - prev_.cycle;
-        s.deltaBytes = cur.nvmWriteBytes - prev_.nvmWriteBytes;
-        s.deltaStores = cur.stores - prev_.stores;
         s.bwBytesPerKCycle = static_cast<std::int64_t>(
-            s.deltaBytes * 1024 / s.deltaCycles);
+            (cur.nvmWriteBytes - prev_.nvmWriteBytes) * 1024 /
+            s.deltaCycles);
         std::int64_t occ =
             cur.poolPagesTotal
                 ? static_cast<std::int64_t>(cur.poolPagesInUse *
@@ -62,27 +47,8 @@ SignalBus::sample(Cycle now)
                 : 0;
         s.occPermille = occ;
         s.occSlopePermille = occ - prevOcc;
-        s.bufferOccupancy =
-            static_cast<std::int64_t>(cur.bufferOccupancy);
-        s.mergeBacklog = static_cast<std::int64_t>(cur.mergeBacklog);
-        s.stallCycles = static_cast<std::int64_t>(
-            cur.tenantStallCycles - prev_.tenantStallCycles);
-        // Per-tenant deltas: a tenant absent from the previous frame
-        // contributes its full tally (it appeared this interval).
-        std::size_t pi = 0;
-        for (const auto &kv : cur.tenantBytes) {
-            std::uint64_t before = 0;
-            while (pi < prev_.tenantBytes.size() &&
-                   prev_.tenantBytes[pi].first < kv.first)
-                ++pi;
-            if (pi < prev_.tenantBytes.size() &&
-                prev_.tenantBytes[pi].first == kv.first)
-                before = prev_.tenantBytes[pi].second;
-            s.tenantDeltaBytes.emplace_back(kv.first,
-                                            kv.second - before);
-        }
     }
-    prev_ = std::move(cur);
+    prev_ = cur;
     return s;
 }
 

@@ -64,10 +64,10 @@ TenantManager::refill(PerTenant &t, Cycle now)
         t.lastRefill = std::max(t.lastRefill, now);
         return;
     }
-    if (std::uint64_t rate = rateOf(t)) {
+    if (p.qosBytesPerKCycle) {
         Cycle delta = now - t.lastRefill;
-        std::int64_t earned =
-            static_cast<std::int64_t>(delta * rate / 1024);
+        std::int64_t earned = static_cast<std::int64_t>(
+            delta * p.qosBytesPerKCycle / 1024);
         t.tokens = std::min<std::int64_t>(
             static_cast<std::int64_t>(p.qosBurstBytes),
             t.tokens + earned);
@@ -83,7 +83,7 @@ TenantManager::onInsert(Asid asid, std::uint32_t bytes, Cycle now)
     PerTenant &t = slot(asid);
     ++t.inserts;
     refill(t, now);
-    if (rateOf(t))
+    if (p.qosBytesPerKCycle)
         t.tokens -= bytes;
     if (p.quotaLines && linesOf) {
         std::uint64_t lines = linesOf(asid);
@@ -135,8 +135,8 @@ TenantManager::throttleStall(Asid asid, Cycle now)
     // Convert the debt to cycles at the refill rate (a nominal
     // 1 byte/cycle when QoS is off and the debt is pure quota
     // penalty); the stall itself repays the debt.
-    std::uint64_t qos = rateOf(t);
-    std::uint64_t rate = qos ? qos : 1024;
+    std::uint64_t rate =
+        p.qosBytesPerKCycle ? p.qosBytesPerKCycle : 1024;
     Cycle stall = static_cast<Cycle>(
         (static_cast<std::uint64_t>(-t.tokens) * 1024 + rate - 1) /
         rate);
@@ -184,26 +184,6 @@ TenantManager::orderForCompaction(std::vector<Addr> &lines)
 }
 
 void
-TenantManager::setQosRate(Asid asid, std::uint64_t bytes_per_kcycle)
-{
-    if (asid == 0)
-        return;
-    PerTenant &t = slot(asid);
-    if (t.qosRateOverride == bytes_per_kcycle)
-        return;
-    t.qosRateOverride = bytes_per_kcycle;
-    ++t.paceChanges;
-}
-
-void
-TenantManager::forEachTenant(
-    const std::function<void(Asid, const PerTenant &)> &fn) const
-{
-    for (const auto &kv : tenants)
-        fn(kv.first, kv.second);
-}
-
-void
 TenantManager::exportStats()
 {
     for (const auto &kv : tenants) {
@@ -218,10 +198,6 @@ TenantManager::exportStats()
         stats.extra[prefix + "quota_rejections"] = t.quotaRejections;
         stats.extra[prefix + "soft_warnings"] = t.softWarnings;
         stats.extra[prefix + "peak_lines"] = t.peakLines;
-        // Only paced tenants get the key, so runs without the policy
-        // engine keep their stats output byte-identical.
-        if (t.paceChanges)
-            stats.extra[prefix + "pace_changes"] = t.paceChanges;
         if (linesOf)
             stats.extra[prefix + "pool_lines"] = linesOf(kv.first);
     }

@@ -12,8 +12,9 @@
  *    is priced out instead: each over-cap insert counts a rejection
  *    and charges penalty token debt so its cores stall until
  *    compaction reclaims its stale versions;
- *  - insert-bandwidth QoS: a token bucket per ASID refilled in bytes
- *    per 1024 cycles. Debt converts to stall cycles charged to the
+ *  - insert-bandwidth QoS: a token bucket per ASID refilled at the
+ *    one configured rate, `tenant.qos_bytes_per_kcycle` bytes per
+ *    1024 cycles. Debt converts to stall cycles charged to the
  *    *offending tenant's* stores only (NVOverlayScheme::onStore), so
  *    one hot tenant back-pressures itself, not its co-tenants;
  *  - compaction fairness: when a compaction pass moves versions of
@@ -84,12 +85,6 @@ class TenantManager
         std::uint64_t quotaRejections = 0;
         std::uint64_t softWarnings = 0;
         std::uint64_t peakLines = 0;
-        /** Per-tenant QoS rate override in bytes per 1024 cycles,
-         *  set by the adaptive policy engine (JASS-style pacing).
-         *  0 = no override: the global Params rate applies. */
-        std::uint64_t qosRateOverride = 0;
-        /** Times the policy engine (re)paced this tenant. */
-        std::uint64_t paceChanges = 0;
         /** Per-ASID QoS stall distribution
          *  (`tenant.qos_stall_cycles.asid<N>`), registered lazily
          *  when the tenant first shows activity. */
@@ -130,20 +125,6 @@ class TenantManager
      */
     void orderForCompaction(std::vector<Addr> &lines);
 
-    /**
-     * Policy-engine actuation (per-tenant epoch pacing): cap
-     * @p asid's insert bandwidth at @p bytes_per_kcycle, overriding
-     * the global `tenant.qos_bytes_per_kcycle` for this tenant only.
-     * 0 clears the override. QoS becomes active for the tenant even
-     * when the global rate is 0, so the policy engine can pace
-     * tenants in deployments that never configured static QoS.
-     */
-    void setQosRate(Asid asid, std::uint64_t bytes_per_kcycle);
-
-    /** Visit tenants in ascending-ASID (deterministic) order. */
-    void forEachTenant(
-        const std::function<void(Asid, const PerTenant &)> &fn) const;
-
     /** Export per-tenant counters into RunStats::extra. */
     void exportStats();
 
@@ -156,14 +137,6 @@ class TenantManager
   private:
     PerTenant &slot(Asid asid);
     void refill(PerTenant &t, Cycle now);
-    /** Effective QoS rate: the policy override when set, else the
-     *  global configured rate (0 = QoS off for this tenant). */
-    std::uint64_t
-    rateOf(const PerTenant &t) const
-    {
-        return t.qosRateOverride ? t.qosRateOverride
-                                 : p.qosBytesPerKCycle;
-    }
 
     Params p;
     RunStats &stats;

@@ -101,5 +101,32 @@ TEST(ConfigStrict, FullRunConsumesEveryDefaultKey)
         << "unexpected unread keys beyond the seeded two";
 }
 
+TEST(ConfigStrict, RetiredPolicyKeysAreReported)
+{
+    // The walker governor and the tenant pacer no longer exist. A
+    // policy-enabled run must report a stale script's keys for them
+    // as unread (an error under cfg.strict), not run without them.
+    setQuiet(true);
+    Config cfg = defaultConfig();
+    cfg.set("sys.cores", std::uint64_t(8));
+    cfg.set("sys.cores_per_vd", std::uint64_t(2));
+    cfg.set("l1.kb", std::uint64_t(4));
+    cfg.set("l2.kb", std::uint64_t(16));
+    cfg.set("llc.mb", std::uint64_t(1));
+    cfg.set("wl.ops", std::uint64_t(200));
+    cfg.set("wl.hashtable.prefill", std::uint64_t(64));
+    cfg.set("policy.enabled", std::uint64_t(1));
+    cfg.set("policy.walker.hi", std::uint64_t(4));
+    cfg.set("policy.tenant.pace", std::uint64_t(1));
+    System sys(cfg, "nvoverlay", "hashtable");
+    ASSERT_NE(sys.policyEngine(), nullptr);
+    sys.run();
+    auto unread = sys.config().unreadKeys();
+    for (const char *key : {"policy.walker.hi", "policy.tenant.pace"})
+        EXPECT_NE(std::find(unread.begin(), unread.end(), key),
+                  unread.end())
+            << key;
+}
+
 } // namespace
 } // namespace nvo

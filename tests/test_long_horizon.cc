@@ -2,8 +2,8 @@
  * @file
  * Long-horizon integration tests: epoch counts crossing the 16-bit
  * group boundary under live traffic (Sec. IV-D wrap-around scheme),
- * version compaction triggered by real pool pressure, and recovery
- * correctness in both regimes; plus the host-cost contract of a
+ * version compaction triggered by real pool pressure or by the policy
+ * engine's governor, and recovery correctness in each regime; plus the host-cost contract of a
  * high-frequency run: per-epoch table accounting stays exact, and
  * host time grows with the epochs run, not with retained history.
  */
@@ -309,6 +309,27 @@ TEST(LongHorizon, CompactionUnderLivePressure)
     auto result = rm.recover();
     EXPECT_EQ(RecoveryManager::validate(result, scheme.backend()), "");
     checkTheorem(sys, scheme);
+}
+
+TEST(LongHorizon, GovernedCompactionKeepsRecoveryConsistent)
+{
+    // The policy engine's compaction governor copies live versions
+    // into the newest merged table. When a copy grows one of that
+    // table's sub-pages, versions the master already maps move to a
+    // new sub-page; their master entries must move with them.
+    setQuiet(true);
+    Config cfg = horizonConfig();
+    cfg.set("wl.ops", std::uint64_t(600));
+    cfg.set("epoch.stores_global", std::uint64_t(8000));
+    cfg.set("mnm.pool_mb_per_omc", std::uint64_t(1));
+    cfg.set("policy.enabled", std::uint64_t(1));
+    cfg.set("policy.compact.hi", std::uint64_t(300));
+    cfg.set("policy.compact.lo", std::uint64_t(200));
+
+    System sys(cfg, "nvoverlay", "hashtable");
+    sys.run();
+    EXPECT_GT(sys.stats().extra.at("policy_compactions"), 0u);
+    checkTheorem(sys, dynamic_cast<NVOverlayScheme &>(sys.scheme()));
 }
 
 TEST(LongHorizon, AutoReclaimKeepsPoolBounded)

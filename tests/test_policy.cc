@@ -4,12 +4,14 @@
  *
  * Controller oracles reproduce the integer arithmetic by hand so any
  * drift in the PI/hysteresis step is a test diff, not a tuning
- * surprise. System-level tests pin the two load-bearing contracts:
- * a disabled policy leaves the stats JSON byte-unchanged, and the
- * epoch pacer demonstrably reacts to `nvm.write_bw_budget` — a run
- * with the budget set must steer the epoch length away from the same
- * run without it. Satellite coverage: NVM wear accounting, the phased
- * workload wrapper, and the epoch-series row cap.
+ * surprise. System-level tests pin the load-bearing contracts: a
+ * disabled policy leaves the stats JSON byte-unchanged; the epoch
+ * pacer demonstrably reacts to `nvm.write_bw_budget` — a run with the
+ * budget set must steer the epoch length away from the same run
+ * without it; and the compaction governor must compact and leave a
+ * smaller pool than the same run without it. Also covered: NVM wear
+ * accounting, the phased workload wrapper, and the epoch-series row
+ * cap.
  */
 
 #include <gtest/gtest.h>
@@ -334,6 +336,32 @@ TEST(PolicyEngineSystem, EpochPacerSteersLengthTowardBudget)
                         [pe](obs::JsonWriter &w) { pe->writeJson(w); });
     EXPECT_NE(os.str().find("\"policy\":{\"evals\":"),
               std::string::npos);
+}
+
+TEST(PolicyEngineSystem, CompactionGovernorShrinksPool)
+{
+    // A 1 MB pool per OMC keeps occupancy high enough for the
+    // 300/200 permille thresholds to engage; the governed run must
+    // compact and end with fewer pool pages in use than the same run
+    // without it.
+    Config base = tinyConfig(600);
+    base.set("epoch.stores_global", std::uint64_t(8000));
+    base.set("mnm.pool_mb_per_omc", std::uint64_t(1));
+
+    System plain(base, "nvoverlay", "hashtable");
+    plain.run();
+
+    Config governed = base;
+    governed.set("policy.enabled", std::uint64_t(1));
+    governed.set("policy.compact.hi", std::uint64_t(300));
+    governed.set("policy.compact.lo", std::uint64_t(200));
+    System sys(governed, "nvoverlay", "hashtable");
+    sys.run();
+    const auto &ex = sys.stats().extra;
+    ASSERT_EQ(ex.count("policy_compactions"), 1u);
+    EXPECT_GT(ex.at("policy_compactions"), 0u);
+    EXPECT_LT(sys.stats().poolPagesInUse,
+              plain.stats().poolPagesInUse);
 }
 
 TEST(PolicyEngineSystem, DisabledPolicyLeavesStatsByteUnchanged)
