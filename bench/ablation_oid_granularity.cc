@@ -34,8 +34,8 @@ int
 main(int argc, char **argv)
 {
     bench::JsonReport report("ablation_oid_granularity",
-                             bench::extractJsonPath(argc, argv));
-    unsigned jobs = bench::extractJobs(argc, argv);
+                             bench::takeFlag(argc, argv, "--json"));
+    unsigned jobs = bench::takeCount(argc, argv, "--jobs");
     Config cfg = bench::benchConfig(argc, argv);
     report.setConfig(cfg);
     Config wcfg = bench::forWorkload(cfg, "btree");
@@ -44,33 +44,16 @@ main(int argc, char **argv)
     // Each granularity is an independent simulation, so the sweep
     // fans across --jobs worker processes and merges in cell order:
     // same table and JSON rows for any job count.
-    std::vector<std::string> payloads = par::forkMap(
+    const std::vector<Cell> cells = par::forkMapOf(
         static_cast<unsigned>(grans.size()), jobs, [&](unsigned t) {
             Config c = wcfg;
             c.set("sim.oid_granularity", std::uint64_t(grans[t]));
             System sys(c, "nvoverlay", "btree");
             sys.run();
-            char buf[128];
-            std::snprintf(
-                buf, sizeof buf, "%llu %llu %llu %llu",
-                static_cast<unsigned long long>(sys.stats().cycles),
-                static_cast<unsigned long long>(
-                    sys.stats().epochAdvances),
-                static_cast<unsigned long long>(
-                    sys.stats().lamportAdvances),
-                static_cast<unsigned long long>(
-                    sys.stats().totalNvmWriteBytes()));
-            return std::string(buf);
+            const RunStats &st = sys.stats();
+            return Cell{st.cycles, st.epochAdvances, st.lamportAdvances,
+                        st.totalNvmWriteBytes()};
         });
-    std::array<Cell, 3> cells;
-    for (unsigned t = 0; t < grans.size(); ++t) {
-        unsigned long long cyc = 0, adv = 0, lam = 0, wr = 0;
-        if (std::sscanf(payloads[t].c_str(), "%llu %llu %llu %llu",
-                        &cyc, &adv, &lam, &wr) != 4)
-            fatal("ablation_oid: malformed worker payload '%s'",
-                  payloads[t].c_str());
-        cells[t] = {cyc, adv, lam, wr};
-    }
 
     std::printf("Ablation — DRAM OID tracking granularity "
                 "(btree)\n");

@@ -34,8 +34,8 @@ int
 main(int argc, char **argv)
 {
     bench::JsonReport report("ablation_subpage",
-                             bench::extractJsonPath(argc, argv));
-    unsigned jobs = bench::extractJobs(argc, argv);
+                             bench::takeFlag(argc, argv, "--json"));
+    unsigned jobs = bench::takeCount(argc, argv, "--jobs");
     Config cfg = bench::benchConfig(argc, argv);
     report.setConfig(cfg);
     Config wcfg = bench::forWorkload(cfg, "vacation");
@@ -52,7 +52,7 @@ main(int argc, char **argv)
     // Each policy is an independent simulation, so the sweep fans
     // across --jobs worker processes and merges in cell order: same
     // table and JSON rows for any job count.
-    std::vector<std::string> payloads = par::forkMap(
+    const std::vector<Cell> cells = par::forkMapOf(
         static_cast<unsigned>(policies.size()), jobs,
         [&](unsigned t) {
             const Policy &pol = policies[t];
@@ -67,25 +67,10 @@ main(int argc, char **argv)
             for (unsigned o = 0; o < scheme.backend().numOmcs(); ++o)
                 pool_bytes +=
                     scheme.backend().pool(o).bytesAllocated();
-            char buf[128];
-            std::snprintf(
-                buf, sizeof buf, "%llu %llu %llu",
-                static_cast<unsigned long long>(pool_bytes),
-                static_cast<unsigned long long>(
-                    sys.stats().extra["subpage_reloc_bytes"]),
-                static_cast<unsigned long long>(
-                    sys.stats().totalNvmWriteBytes()));
-            return std::string(buf);
+            return Cell{pool_bytes,
+                        sys.stats().extra["subpage_reloc_bytes"],
+                        sys.stats().totalNvmWriteBytes()};
         });
-    std::array<Cell, 4> cells;
-    for (unsigned t = 0; t < policies.size(); ++t) {
-        unsigned long long pool = 0, reloc = 0, wr = 0;
-        if (std::sscanf(payloads[t].c_str(), "%llu %llu %llu", &pool,
-                        &reloc, &wr) != 3)
-            fatal("ablation_subpage: malformed worker payload '%s'",
-                  payloads[t].c_str());
-        cells[t] = {pool, reloc, wr};
-    }
 
     std::printf("Ablation — sparse sub-page policy (vacation)\n");
     TablePrinter table({"init/grow", "pool-MB", "reloc-MB",

@@ -36,8 +36,8 @@ int
 main(int argc, char **argv)
 {
     bench::JsonReport report("ablation_vd_size",
-                             bench::extractJsonPath(argc, argv));
-    unsigned jobs = bench::extractJobs(argc, argv);
+                             bench::takeFlag(argc, argv, "--json"));
+    unsigned jobs = bench::takeCount(argc, argv, "--jobs");
     Config cfg = bench::benchConfig(argc, argv);
     report.setConfig(cfg);
     Config wcfg = bench::forWorkload(cfg, "vacation");
@@ -46,7 +46,7 @@ main(int argc, char **argv)
     // Each VD width is an independent simulation, so the sweep fans
     // across --jobs worker processes and merges in cell order: same
     // table and JSON rows for any job count.
-    std::vector<std::string> payloads = par::forkMap(
+    const std::vector<Cell> cells = par::forkMapOf(
         static_cast<unsigned>(widths.size()), jobs, [&](unsigned t) {
             Config c = wcfg;
             c.set("sys.cores_per_vd", std::uint64_t(widths[t]));
@@ -54,31 +54,11 @@ main(int argc, char **argv)
             sys.run();
             auto &scheme =
                 dynamic_cast<NVOverlayScheme &>(sys.scheme());
-            char buf[160];
-            std::snprintf(
-                buf, sizeof buf, "%llu %llu %llu %llu %llu",
-                static_cast<unsigned long long>(sys.stats().cycles),
-                static_cast<unsigned long long>(
-                    sys.stats().epochAdvances),
-                static_cast<unsigned long long>(
-                    sys.stats().lamportAdvances),
-                static_cast<unsigned long long>(
-                    sys.stats().totalNvmWriteBytes()),
-                static_cast<unsigned long long>(
-                    scheme.backend().recEpoch()));
-            return std::string(buf);
+            const RunStats &st = sys.stats();
+            return Cell{st.cycles, st.epochAdvances, st.lamportAdvances,
+                        st.totalNvmWriteBytes(),
+                        scheme.backend().recEpoch()};
         });
-    std::array<Cell, 4> cells;
-    for (unsigned t = 0; t < widths.size(); ++t) {
-        unsigned long long cyc = 0, adv = 0, lam = 0, wr = 0,
-                           rec = 0;
-        if (std::sscanf(payloads[t].c_str(),
-                        "%llu %llu %llu %llu %llu", &cyc, &adv, &lam,
-                        &wr, &rec) != 5)
-            fatal("ablation_vd: malformed worker payload '%s'",
-                  payloads[t].c_str());
-        cells[t] = {cyc, adv, lam, wr, rec};
-    }
 
     std::printf("Ablation — cores per versioned domain (vacation)\n");
     TablePrinter table({"cores/VD", "cycles", "advances", "lamport",

@@ -6,10 +6,17 @@
  *
  * Every bench accepts NVO_OPS / NVO_EPOCH_STORES / NVO_SEED
  * environment overrides, "key=value" command-line arguments, and
- * `--json <path>` to additionally write the run's results as a
- * machine-readable file (schema "nvo-bench-v1": bench name, resolved
- * config, and one {workload, scheme, metric, value} row per measured
- * cell).
+ * these flags, which takeFlag() removes from argv first:
+ *
+ *   --json <path>  also write the results as a machine-readable file
+ *                  (schema "nvo-bench-v1": bench name, resolved
+ *                  config, one {workload, scheme, metric, value} row
+ *                  per measured cell)
+ *   --jobs <n>     sweep benches: fan cells across n worker processes
+ *                  (par::forkMapOf); output is identical for every n
+ *   --soak <n>, --check   fig_adaptive only (see its file comment)
+ *
+ * Valued flags also take the `--flag=<value>` form.
  */
 
 #ifndef NVO_BENCH_BENCH_COMMON_HH
@@ -51,59 +58,48 @@ opsFor(const std::string &workload, std::uint64_t base)
 }
 
 /**
- * Pull `--json <path>` / `--json=<path>` out of argv (compacting the
- * remaining arguments in place so benchConfig's key=value parser
- * never sees the flag). Returns "" when absent.
+ * Take `--name <value>` / `--name=<value>` (or, with @p bare, the
+ * switch `--name` alone) out of argv, compacting the remaining
+ * arguments in place so benchConfig's key=value parser never sees
+ * the flag. Returns the last occurrence's value (a switch returns its
+ * own name), or "" when the flag is absent.
  */
 inline std::string
-extractJsonPath(int &argc, char **argv)
+takeFlag(int &argc, char **argv, const std::string &name,
+         bool bare = false)
 {
-    std::string path;
+    std::string value;
+    const std::string prefix = name + "=";
     int w = 1;
     for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--json" && i + 1 < argc) {
-            path = argv[++i];
-            continue;
-        }
-        if (arg.rfind("--json=", 0) == 0) {
-            path = arg.substr(7);
-            continue;
-        }
-        argv[w++] = argv[i];
+        const std::string arg = argv[i];
+        if (bare && arg == name)
+            value = name;
+        else if (!bare && arg == name && i + 1 < argc)
+            value = argv[++i];
+        else if (!bare && arg.rfind(prefix, 0) == 0)
+            value = arg.substr(prefix.size());
+        else
+            argv[w++] = argv[i];
     }
     argc = w;
-    return path;
+    return value;
 }
 
-/**
- * Pull `--jobs <n>` / `--jobs=<n>` out of argv (same compaction as
- * extractJsonPath). Returns 1 when absent. Benches hand the value to
- * par::forkMap to fan independent cells across worker processes;
- * results are merged in cell order, so the printed tables and the
- * --json rows are identical for every job count.
- */
+/** A count flag (`--jobs`, `--soak`): 1 when absent or zero. */
 inline unsigned
-extractJobs(int &argc, char **argv)
+takeCount(int &argc, char **argv, const std::string &name)
 {
-    unsigned jobs = 1;
-    int w = 1;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--jobs" && i + 1 < argc) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
-            continue;
-        }
-        if (arg.rfind("--jobs=", 0) == 0) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 7, nullptr, 0));
-            continue;
-        }
-        argv[w++] = argv[i];
-    }
-    argc = w;
-    return jobs == 0 ? 1 : jobs;
+    const unsigned n = static_cast<unsigned>(
+        std::strtoul(takeFlag(argc, argv, name).c_str(), nullptr, 0));
+    return n == 0 ? 1 : n;
+}
+
+/** A bare switch (`--check`): true when present. */
+inline bool
+takeSwitch(int &argc, char **argv, const std::string &name)
+{
+    return !takeFlag(argc, argv, name, true).empty();
 }
 
 inline Config

@@ -24,7 +24,7 @@ int
 main(int argc, char **argv)
 {
     bench::JsonReport report("fig11_cycles",
-                             bench::extractJsonPath(argc, argv));
+                             bench::takeFlag(argc, argv, "--json"));
     Config cfg = bench::benchConfig(argc, argv);
     report.setConfig(cfg);
 

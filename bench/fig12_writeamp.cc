@@ -21,8 +21,8 @@ int
 main(int argc, char **argv)
 {
     bench::JsonReport report("fig12_writeamp",
-                             bench::extractJsonPath(argc, argv));
-    unsigned jobs = bench::extractJobs(argc, argv);
+                             bench::takeFlag(argc, argv, "--json"));
+    unsigned jobs = bench::takeCount(argc, argv, "--jobs");
     Config cfg = bench::benchConfig(argc, argv);
     report.setConfig(cfg);
 
@@ -35,13 +35,13 @@ main(int argc, char **argv)
     const auto &wls = paperWorkloads();
     const unsigned numCells =
         static_cast<unsigned>(wls.size() * schemes.size());
-    std::vector<std::string> payloads = par::forkMap(
+    const std::vector<std::uint64_t> bytes = par::forkMapOf(
         numCells, jobs, [&](unsigned t) {
             const std::string &wl = wls[t / schemes.size()];
             Config wcfg = bench::forWorkload(cfg, wl);
             auto r = runExperiment(
                 wcfg, schemes[t % schemes.size()], wl);
-            return std::to_string(r.stats.totalNvmWriteBytes());
+            return r.stats.totalNvmWriteBytes();
         });
 
     std::printf("Figure 12 — NVM Write Bytes normalized to NVOverlay "
@@ -55,20 +55,11 @@ main(int argc, char **argv)
 
     for (std::size_t wi = 0; wi < wls.size(); ++wi) {
         const std::string &wl = wls[wi];
-        std::array<std::uint64_t, 4> bytes{};
-        for (std::size_t si = 0; si < schemes.size(); ++si) {
-            const std::string &pay =
-                payloads[wi * schemes.size() + si];
-            char *end = nullptr;
-            bytes[si] = std::strtoull(pay.c_str(), &end, 10);
-            if (end == pay.c_str())
-                fatal("fig12: malformed worker payload '%s'",
-                      pay.c_str());
-        }
-        double base = static_cast<double>(bytes[0]);
+        const std::uint64_t *cell = &bytes[wi * schemes.size()];
+        double base = static_cast<double>(cell[0]);
         std::vector<std::string> row = {wl};
         for (std::size_t si = 1; si < schemes.size(); ++si) {
-            double norm = bytes[si] / base;
+            double norm = cell[si] / base;
             report.add(wl, schemes[si], "norm_nvm_write_bytes", norm);
             row.push_back(TablePrinter::num(norm, 2));
         }

@@ -15,12 +15,24 @@
 
 using namespace nvo;
 
+namespace
+{
+
+/** One measured cell shipped back from a forkMap worker. */
+struct Cell
+{
+    std::uint64_t mappedLines = 0;
+    std::uint64_t nodeBytes = 0;
+};
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
     bench::JsonReport report("fig13_metadata",
-                             bench::extractJsonPath(argc, argv));
-    unsigned jobs = bench::extractJobs(argc, argv);
+                             bench::takeFlag(argc, argv, "--json"));
+    unsigned jobs = bench::takeCount(argc, argv, "--jobs");
     Config cfg = bench::benchConfig(argc, argv);
     // Metadata efficiency depends on page occupancy, which grows with
     // run length; give this (cheap, NVOverlay-only) figure 2x ops and
@@ -43,7 +55,7 @@ main(int argc, char **argv)
     // JSON rows are identical for any job count.
     const auto &wls = paperWorkloads();
     const unsigned numCells = static_cast<unsigned>(wls.size());
-    std::vector<std::string> payloads = par::forkMap(
+    const std::vector<Cell> cells = par::forkMapOf(
         numCells, jobs, [&](unsigned t) {
             Config wcfg = bench::forWorkload(cfg, wls[t]);
             System sys(wcfg, "nvoverlay", wls[t]);
@@ -51,26 +63,15 @@ main(int argc, char **argv)
             auto &scheme =
                 dynamic_cast<NVOverlayScheme &>(sys.scheme());
             auto &be = scheme.backend();
-            char buf[64];
-            std::snprintf(
-                buf, sizeof buf, "%llu %llu",
-                static_cast<unsigned long long>(
-                    be.masterMappedLinesTotal()),
-                static_cast<unsigned long long>(
-                    be.masterNodeBytesTotal()));
-            return std::string(buf);
+            return Cell{be.masterMappedLinesTotal(),
+                        be.masterNodeBytesTotal()};
         });
 
     for (unsigned t = 0; t < numCells; ++t) {
         const std::string &wl = wls[t];
-        unsigned long long mapped_lines = 0, node_bytes = 0;
-        if (std::sscanf(payloads[t].c_str(), "%llu %llu",
-                        &mapped_lines, &node_bytes) != 2)
-            fatal("fig13: malformed worker payload '%s'",
-                  payloads[t].c_str());
         double mapped_bytes =
-            static_cast<double>(mapped_lines) * lineBytes;
-        double table_bytes = static_cast<double>(node_bytes);
+            static_cast<double>(cells[t].mappedLines) * lineBytes;
+        double table_bytes = static_cast<double>(cells[t].nodeBytes);
         report.add(wl, "nvoverlay", "mapped_bytes", mapped_bytes);
         report.add(wl, "nvoverlay", "master_table_bytes",
                    table_bytes);

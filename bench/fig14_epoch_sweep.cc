@@ -34,8 +34,8 @@ int
 main(int argc, char **argv)
 {
     bench::JsonReport report("fig14_epoch_sweep",
-                             bench::extractJsonPath(argc, argv));
-    unsigned jobs = bench::extractJobs(argc, argv);
+                             bench::takeFlag(argc, argv, "--json"));
+    unsigned jobs = bench::takeCount(argc, argv, "--jobs");
     Config cfg = bench::benchConfig(argc, argv);
     report.setConfig(cfg);
     const std::uint64_t sizes[] = {500'000, 1'000'000, 2'000'000,
@@ -47,29 +47,14 @@ main(int argc, char **argv)
     // so the sweep fans across --jobs worker processes and merges in
     // cell order: same table and JSON rows for any job count.
     constexpr unsigned numCells = 16;
-    std::vector<std::string> payloads = par::forkMap(
+    const std::vector<Cell> cells = par::forkMapOf(
         numCells, jobs, [&](unsigned t) {
             Config wcfg = bench::forWorkload(cfg, "art");
             wcfg.set("epoch.stores_global", sizes[t / schemes.size()]);
             auto r = runExperiment(wcfg, schemes[t % schemes.size()],
                                    "art");
-            char buf[64];
-            std::snprintf(
-                buf, sizeof buf, "%llu %llu",
-                static_cast<unsigned long long>(r.stats.cycles),
-                static_cast<unsigned long long>(
-                    r.stats.totalNvmWriteBytes()));
-            return std::string(buf);
+            return Cell{r.stats.cycles, r.stats.totalNvmWriteBytes()};
         });
-    std::array<Cell, numCells> cells;
-    for (unsigned t = 0; t < numCells; ++t) {
-        unsigned long long cyc = 0, wr = 0;
-        if (std::sscanf(payloads[t].c_str(), "%llu %llu", &cyc,
-                        &wr) != 2)
-            fatal("fig14: malformed worker payload '%s'",
-                  payloads[t].c_str());
-        cells[t] = {cyc, wr};
-    }
 
     std::printf("Figure 14 — Epoch-size sensitivity (ART, "
                 "ops/thread=%llu)\n",

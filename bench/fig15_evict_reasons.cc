@@ -9,7 +9,6 @@
  * capacity evictions (~90%) with the walker contributing ~10%.
  */
 
-#include <sstream>
 #include <vector>
 
 #include "bench_common.hh"
@@ -20,13 +19,13 @@ using namespace nvo;
 namespace
 {
 
-constexpr std::size_t numReasons =
-    static_cast<std::size_t>(EvictReason::NumReasons);
+/** Write-back counts by EvictReason: one cell's worker result. */
+using Reasons = decltype(RunStats::evictReason);
 
 void
 printRow(TablePrinter &table, bench::JsonReport &report,
          const std::string &section, const std::string &label,
-         const std::vector<std::uint64_t> &reasons)
+         const Reasons &reasons)
 {
     auto reason = [&](EvictReason r) {
         return reasons[static_cast<std::size_t>(r)];
@@ -63,8 +62,8 @@ int
 main(int argc, char **argv)
 {
     bench::JsonReport report("fig15_evict_reasons",
-                             bench::extractJsonPath(argc, argv));
-    unsigned jobs = bench::extractJobs(argc, argv);
+                             bench::takeFlag(argc, argv, "--json"));
+    unsigned jobs = bench::takeCount(argc, argv, "--jobs");
     Config cfg = bench::benchConfig(argc, argv);
     report.setConfig(cfg);
     Config wcfg = bench::forWorkload(cfg, "art");
@@ -76,32 +75,16 @@ main(int argc, char **argv)
                                               "nvoverlay"};
     const unsigned numCells =
         static_cast<unsigned>(2 * schemes.size());
-    std::vector<std::string> payloads = par::forkMap(
+    const std::vector<Reasons> cells = par::forkMapOf(
         numCells, jobs, [&](unsigned t) {
             Config c = wcfg;
             if (t >= schemes.size()) {
                 c.set("picl.walker_enabled", "false");
                 c.set("nvo.walker_enabled", "false");
             }
-            auto r = runExperiment(c, schemes[t % schemes.size()],
-                                   "art");
-            std::ostringstream out;
-            for (std::size_t i = 0; i < numReasons; ++i)
-                out << (i ? " " : "") << r.stats.evictReason[i];
-            return out.str();
+            return runExperiment(c, schemes[t % schemes.size()], "art")
+                .stats.evictReason;
         });
-
-    auto parseCell = [&](unsigned t) {
-        std::vector<std::uint64_t> reasons;
-        std::istringstream in(payloads[t]);
-        std::uint64_t v;
-        while (in >> v)
-            reasons.push_back(v);
-        if (reasons.size() != numReasons)
-            fatal("fig15: malformed worker payload '%s'",
-                  payloads[t].c_str());
-        return reasons;
-    };
 
     std::printf("Figure 15 — Evict-reason decomposition, ART "
                 "(%% of write-back triggers)\n");
@@ -112,14 +95,13 @@ main(int argc, char **argv)
     std::printf("\n(a) with tag walker\n");
     table.printHeader();
     for (unsigned i = 0; i < schemes.size(); ++i)
-        printRow(table, report, "with_walker", schemes[i],
-                 parseCell(i));
+        printRow(table, report, "with_walker", schemes[i], cells[i]);
 
     std::printf("\n(b) without tag walker\n");
     table.printHeader();
     for (unsigned i = 0; i < schemes.size(); ++i)
         printRow(table, report, "no_walker", schemes[i],
-                 parseCell(static_cast<unsigned>(schemes.size()) + i));
+                 cells[schemes.size() + i]);
     report.write();
     return 0;
 }

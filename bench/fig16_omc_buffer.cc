@@ -32,8 +32,8 @@ int
 main(int argc, char **argv)
 {
     bench::JsonReport report("fig16_omc_buffer",
-                             bench::extractJsonPath(argc, argv));
-    unsigned jobs = bench::extractJobs(argc, argv);
+                             bench::takeFlag(argc, argv, "--json"));
+    unsigned jobs = bench::takeCount(argc, argv, "--jobs");
     Config cfg = bench::benchConfig(argc, argv);
     // Redundant same-epoch write backs accumulate with run length;
     // give this (two-run) figure 4x ops.
@@ -58,7 +58,7 @@ main(int argc, char **argv)
     // Cell 0: no buffer; cell 1: LLC-sized buffer. The two runs are
     // independent, so they fan across --jobs worker processes and
     // merge in cell order (identical output for any job count).
-    std::vector<std::string> payloads = par::forkMap(
+    const std::vector<Cell> cells = par::forkMapOf(
         2, jobs, [&](unsigned t) {
             Config c = wcfg;
             if (t == 1) {
@@ -67,26 +67,9 @@ main(int argc, char **argv)
                       std::uint64_t(32));   // LLC-sized
             }
             auto r = runExperiment(c, "nvoverlay", "art");
-            char buf[128];
-            std::snprintf(
-                buf, sizeof buf, "%llu %llu %llu %llu",
-                static_cast<unsigned long long>(r.stats.cycles),
-                static_cast<unsigned long long>(r.stats.nvmWriteOps),
-                static_cast<unsigned long long>(
-                    r.stats.omcBufferHits),
-                static_cast<unsigned long long>(
-                    r.stats.omcBufferMisses));
-            return std::string(buf);
+            return Cell{r.stats.cycles, r.stats.nvmWriteOps,
+                        r.stats.omcBufferHits, r.stats.omcBufferMisses};
         });
-    Cell cells[2];
-    for (unsigned t = 0; t < 2; ++t) {
-        unsigned long long cyc = 0, ops = 0, h = 0, m = 0;
-        if (std::sscanf(payloads[t].c_str(), "%llu %llu %llu %llu",
-                        &cyc, &ops, &h, &m) != 4)
-            fatal("fig16: malformed worker payload '%s'",
-                  payloads[t].c_str());
-        cells[t] = {cyc, ops, h, m};
-    }
     const Cell &no_buf = cells[0];
     const Cell &buf = cells[1];
 

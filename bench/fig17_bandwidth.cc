@@ -11,7 +11,7 @@
  *     lower bandwidth under extremely small epochs.
  */
 
-#include <sstream>
+#include <array>
 
 #include "bench_common.hh"
 #include "harness/system.hh"
@@ -25,61 +25,34 @@ namespace
 
 constexpr unsigned numBins = 40;
 
-/** The slice of RunStats one bandwidth series needs, shippable
- *  through a forkMap payload. */
+/** One bandwidth series as the figure plots it: per-column GB/s,
+ *  peak and mean over the execution window (`wrote` is false when
+ *  the window saw no writes). A forkMapOf worker ships this back. */
 struct Series
 {
-    std::uint64_t cycles = 0;
-    std::uint64_t bucketCycles = 1;
-    std::vector<std::uint64_t> bins;
+    bool wrote = false;
+    std::array<double, numBins> gbps{};
+    double peakGbps = 0;
+    double meanGbps = 0;
 };
 
-std::string
-packSeries(const RunStats &st)
+Series
+reduceSeries(const RunStats &st)
 {
     const auto &bins = st.nvmBandwidth.buckets();
-    std::ostringstream os;
-    os << st.cycles << ' ' << st.nvmBandwidth.bucketCycles() << ' '
-       << bins.size();
-    for (auto b : bins)
-        os << ' ' << b;
-    return os.str();
-}
-
-Series
-unpackSeries(const std::string &payload)
-{
-    Series s;
-    std::istringstream is(payload);
-    std::size_t n = 0;
-    if (!(is >> s.cycles >> s.bucketCycles >> n))
-        fatal("fig17: malformed worker payload '%s'",
-              payload.c_str());
-    s.bins.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        if (!(is >> s.bins[i]))
-            fatal("fig17: truncated worker payload");
-    return s;
-}
-
-void
-printSeries(const char *label, const Series &st,
-            bench::JsonReport &report, const std::string &section)
-{
-    const auto &bins = st.bins;
+    const std::uint64_t bucket_cycles = st.nvmBandwidth.bucketCycles();
     // Trim the post-run shutdown flush: only buckets within the
     // execution window belong to the figure.
     std::size_t n = std::min<std::size_t>(
-        bins.size(), st.cycles / st.bucketCycles + 1);
+        bins.size(), st.cycles / bucket_cycles + 1);
     while (n > 0 && bins[n - 1] == 0)
         --n;
-    std::printf("%-10s", label);
-    if (n == 0) {
-        std::printf(" (no writes)\n");
-        return;
-    }
+    Series s;
+    if (n == 0)
+        return s;
+    s.wrote = true;
     // Re-bin to a fixed number of columns; report GB/s at 3 GHz.
-    double cyc_per_bin = static_cast<double>(st.bucketCycles);
+    double cyc_per_bin = static_cast<double>(bucket_cycles);
     for (unsigned col = 0; col < numBins; ++col) {
         std::size_t lo = col * n / numBins;
         std::size_t hi = (col + 1) * n / numBins;
@@ -88,23 +61,35 @@ printSeries(const char *label, const Series &st,
         double bytes = 0;
         for (std::size_t i = lo; i < hi && i < n; ++i)
             bytes += static_cast<double>(bins[i]);
-        double gbps = bytes / ((hi - lo) * cyc_per_bin) * 3e9 / 1e9;
-        std::printf(" %4.1f", gbps);
+        s.gbps[col] = bytes / ((hi - lo) * cyc_per_bin) * 3e9 / 1e9;
     }
-    std::printf("\n");
     // Peak / mean over the execution window only.
     double peak = 0, total = 0;
     for (std::size_t i = 0; i < n; ++i) {
         peak = std::max(peak, static_cast<double>(bins[i]));
         total += static_cast<double>(bins[i]);
     }
+    s.peakGbps = peak / cyc_per_bin * 3.0;
+    s.meanGbps = total / (n * cyc_per_bin) * 3.0;
+    return s;
+}
+
+void
+printSeries(const char *label, const Series &s,
+            bench::JsonReport &report, const std::string &section)
+{
+    std::printf("%-10s", label);
+    if (!s.wrote) {
+        std::printf(" (no writes)\n");
+        return;
+    }
+    for (double gbps : s.gbps)
+        std::printf(" %4.1f", gbps);
+    std::printf("\n");
     std::printf("%-10s peak %.1f GB/s   mean %.1f GB/s\n", "",
-                peak / cyc_per_bin * 3.0,
-                total / (n * cyc_per_bin) * 3.0);
-    report.add(section, label, "peak_gbps",
-               peak / cyc_per_bin * 3.0);
-    report.add(section, label, "mean_gbps",
-               total / (n * cyc_per_bin) * 3.0);
+                s.peakGbps, s.meanGbps);
+    report.add(section, label, "peak_gbps", s.peakGbps);
+    report.add(section, label, "mean_gbps", s.meanGbps);
 }
 
 /**
@@ -157,8 +142,8 @@ int
 main(int argc, char **argv)
 {
     bench::JsonReport report("fig17_bandwidth",
-                             bench::extractJsonPath(argc, argv));
-    unsigned jobs = bench::extractJobs(argc, argv);
+                             bench::takeFlag(argc, argv, "--json"));
+    unsigned jobs = bench::takeCount(argc, argv, "--jobs");
     Config cfg = bench::benchConfig(argc, argv);
     report.setConfig(cfg);
     Config wcfg = bench::forWorkload(cfg, "btree");
@@ -167,15 +152,15 @@ main(int argc, char **argv)
     // each for PiCL and NVOverlay — fanned across --jobs workers and
     // merged in cell order: output is byte-identical for any job
     // count.
-    std::vector<std::string> payloads =
-        par::forkMap(4, jobs, [&](unsigned t) {
+    const std::vector<Series> series =
+        par::forkMapOf(4, jobs, [&](unsigned t) {
             const char *scheme = (t % 2) ? "nvoverlay" : "picl";
             if (t < 2) {
                 System sys(wcfg, scheme, "btree");
                 sys.run();
-                return packSeries(sys.stats());
+                return reduceSeries(sys.stats());
             }
-            return packSeries(burstyRun(wcfg, scheme));
+            return reduceSeries(burstyRun(wcfg, scheme));
         });
 
     std::printf("Figure 17 — NVM write bandwidth over time "
@@ -183,17 +168,13 @@ main(int argc, char **argv)
                 numBins);
 
     std::printf("(a) default 1M-uop epochs\n");
-    printSeries("picl", unpackSeries(payloads[0]), report,
-                "default_epochs");
-    printSeries("nvoverlay", unpackSeries(payloads[1]), report,
-                "default_epochs");
+    printSeries("picl", series[0], report, "default_epochs");
+    printSeries("nvoverlay", series[1], report, "default_epochs");
 
     std::printf("\n(b) bursty epochs (1K / 10K / 100K-store "
                 "watch-point windows)\n");
-    printSeries("picl", unpackSeries(payloads[2]), report,
-                "bursty_epochs");
-    printSeries("nvoverlay", unpackSeries(payloads[3]), report,
-                "bursty_epochs");
+    printSeries("picl", series[2], report, "bursty_epochs");
+    printSeries("nvoverlay", series[3], report, "bursty_epochs");
     report.write();
     return 0;
 }

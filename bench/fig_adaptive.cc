@@ -57,54 +57,15 @@ tailBw(const Segment &seg)
     return dc ? (seg.bytes.back() - seg.bytes[m]) * 1024 / dc : 0;
 }
 
-unsigned
-extractSoak(int &argc, char **argv)
-{
-    unsigned soak = 1;
-    int w = 1;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--soak" && i + 1 < argc) {
-            soak = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
-            continue;
-        }
-        if (arg.rfind("--soak=", 0) == 0) {
-            soak = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 7, nullptr, 0));
-            continue;
-        }
-        argv[w++] = argv[i];
-    }
-    argc = w;
-    return soak == 0 ? 1 : soak;
-}
-
-bool
-extractCheck(int &argc, char **argv)
-{
-    bool check = false;
-    int w = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--check") {
-            check = true;
-            continue;
-        }
-        argv[w++] = argv[i];
-    }
-    argc = w;
-    return check;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     bench::JsonReport report("fig_adaptive",
-                             bench::extractJsonPath(argc, argv));
-    unsigned soak = extractSoak(argc, argv);
-    bool check = extractCheck(argc, argv);
+                             bench::takeFlag(argc, argv, "--json"));
+    unsigned soak = bench::takeCount(argc, argv, "--soak");
+    bool check = bench::takeSwitch(argc, argv, "--check");
     Config cfg = bench::benchConfig(argc, argv);
 
     // The two phases offer distinct bandwidth demand (the second

@@ -21,7 +21,7 @@ int
 main(int argc, char **argv)
 {
     bench::JsonReport report("fig_ship_bandwidth",
-                             bench::extractJsonPath(argc, argv));
+                             bench::takeFlag(argc, argv, "--json"));
     Config cfg = bench::benchConfig(argc, argv);
     report.setConfig(cfg);
 

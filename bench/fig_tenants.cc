@@ -45,8 +45,8 @@ int
 main(int argc, char **argv)
 {
     bench::JsonReport report("fig_tenants",
-                             bench::extractJsonPath(argc, argv));
-    unsigned jobs = bench::extractJobs(argc, argv);
+                             bench::takeFlag(argc, argv, "--json"));
+    unsigned jobs = bench::takeCount(argc, argv, "--jobs");
     Config cfg = bench::benchConfig(argc, argv);
     report.setConfig(cfg);
 
@@ -57,7 +57,7 @@ main(int argc, char **argv)
     // fan across --jobs workers, merge in cell order (byte-identical
     // output for any job count).
     constexpr unsigned numCells = 8;
-    std::vector<std::string> payloads = par::forkMap(
+    const std::vector<Cell> cells = par::forkMapOf(
         numCells, jobs, [&](unsigned t) {
             const unsigned tenants = tenantCounts[t / regimes.size()];
             const bool capped = (t % regimes.size()) == 1;
@@ -70,27 +70,10 @@ main(int argc, char **argv)
                 wcfg.set("tenant.qos_burst_bytes", std::uint64_t(8192));
             }
             auto r = runExperiment(wcfg, "nvoverlay", "kv_service");
-            char buf[128];
-            std::snprintf(
-                buf, sizeof buf, "%llu %llu %llu %llu",
-                static_cast<unsigned long long>(r.stats.cycles),
-                static_cast<unsigned long long>(
-                    r.stats.nvmDataBytes()),
-                static_cast<unsigned long long>(
-                    extraOf(r.stats, "tenant_throttle_stalls")),
-                static_cast<unsigned long long>(
-                    extraOf(r.stats, "tenant_quota_rejections")));
-            return std::string(buf);
+            return Cell{r.stats.cycles, r.stats.nvmDataBytes(),
+                        extraOf(r.stats, "tenant_throttle_stalls"),
+                        extraOf(r.stats, "tenant_quota_rejections")};
         });
-    std::array<Cell, numCells> cells;
-    for (unsigned t = 0; t < numCells; ++t) {
-        unsigned long long cyc = 0, db = 0, st = 0, rj = 0;
-        if (std::sscanf(payloads[t].c_str(), "%llu %llu %llu %llu",
-                        &cyc, &db, &st, &rj) != 4)
-            fatal("fig_tenants: malformed worker payload '%s'",
-                  payloads[t].c_str());
-        cells[t] = {cyc, db, st, rj};
-    }
 
     std::printf("Multi-tenant KV service — tenant-count sweep "
                 "(ops/thread=%llu)\n",

@@ -156,7 +156,7 @@ int
 main(int argc, char **argv)
 {
     bench::JsonReport report("micro_mnm",
-                             bench::extractJsonPath(argc, argv));
+                             bench::takeFlag(argc, argv, "--json"));
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

@@ -14,7 +14,7 @@ int
 main(int argc, char **argv)
 {
     bench::JsonReport report("table2_config",
-                             bench::extractJsonPath(argc, argv));
+                             bench::takeFlag(argc, argv, "--json"));
     Config cfg = defaultConfig();
     applyOverrides(cfg);
     report.setConfig(cfg);

@@ -29,7 +29,7 @@ Hierarchy::Hierarchy(const Params &params, BackingStore &backing_store,
     for (unsigned v = 0; v < numVds_; ++v)
         l2s.push_back(std::make_unique<L2Cache>(p.l2, v, p.coresPerVd));
     for (unsigned s = 0; s < p.numLlcSlices; ++s)
-        slices.push_back(std::make_unique<LlcSlice>(p.llc, s));
+        slices.push_back(std::make_unique<LlcSlice>(p.llc));
 }
 
 EpochWide

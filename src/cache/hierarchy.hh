@@ -166,7 +166,6 @@ class Hierarchy
     const DirEntry *dirEntry(Addr addr) const;
     L2Cache &l2(unsigned vd) { return *l2s[vd]; }
     L1Cache &l1(unsigned core) { return *l1s[core]; }
-    LlcSlice &llcSlice(unsigned i) { return *slices[i]; }
     unsigned numSlices() const
     {
         return static_cast<unsigned>(slices.size());

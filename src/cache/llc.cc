@@ -6,9 +6,8 @@
 namespace nvo
 {
 
-LlcSlice::LlcSlice(const Params &params, unsigned slice_id)
-    : arr(params.sliceBytes, params.ways), lat(params.latency),
-      slice(slice_id)
+LlcSlice::LlcSlice(const Params &params)
+    : arr(params.sliceBytes, params.ways), lat(params.latency)
 {
 }
 

@@ -27,7 +27,6 @@ struct DirEntry
     std::uint32_t sharerVds = 0;   ///< bitmask of VDs with a copy
     int ownerVd = -1;              ///< VD holding E/M, or -1
 
-    bool hasSharers() const { return sharerVds != 0; }
     bool
     isSharer(unsigned vd) const
     {
@@ -47,19 +46,16 @@ class LlcSlice
         Cycle latency = 30;
     };
 
-    LlcSlice(const Params &params, unsigned slice_id);
+    explicit LlcSlice(const Params &params);
 
     CacheArray &array() { return arr; }
     Cycle latency() const { return lat; }
-    unsigned sliceId() const { return slice; }
 
     /** Directory entry for @p line_addr, created on first touch. */
     DirEntry &dir(Addr line_addr);
 
     /** Directory entry if it exists, else nullptr. */
     DirEntry *dirProbe(Addr line_addr);
-
-    std::size_t dirSize() const { return directory.size(); }
 
     /**
      * Invariant sweep (NVO_AUDIT): array structure is sound, no LLC
@@ -71,7 +67,6 @@ class LlcSlice
   private:
     CacheArray arr;
     Cycle lat;
-    unsigned slice;
     std::unordered_map<Addr, DirEntry> directory;
 };
 

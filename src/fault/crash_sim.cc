@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/log.hh"
@@ -196,38 +195,20 @@ minimizePlan(const Config &base_cfg, const CampaignParams &params,
     return plan;
 }
 
-/** Pipe-framed CrashReport (par::forkMap payload). The two string
- *  fields cannot contain newlines, so a line-oriented format is
- *  unambiguous. */
-std::string
-encodeReport(const CrashReport &rep)
+/** What a campaign worker ships back per trial (par::forkMapOf):
+ *  the CrashReport fields the parent prints and tallies, without its
+ *  two strings. A trial can only crash at its own plan's point, so
+ *  the parent names that point from the plan. */
+struct TrialSummary
 {
-    std::ostringstream os;
-    os << (rep.crashed ? 1 : 0) << ' ' << rep.firedHit << ' '
-       << rep.recEpoch << ' ' << rep.linesChecked << ' '
-       << rep.mismatches << ' ' << rep.inflightSkips << ' '
-       << rep.linesRestored << '\n'
-       << rep.firedPoint << '\n'
-       << rep.error;
-    return os.str();
-}
-
-CrashReport
-decodeReport(const std::string &payload)
-{
-    CrashReport rep;
-    std::istringstream is(payload);
-    int crashed = 0;
-    is >> crashed >> rep.firedHit >> rep.recEpoch >>
-        rep.linesChecked >> rep.mismatches >> rep.inflightSkips >>
-        rep.linesRestored;
-    rep.crashed = crashed != 0;
-    is.ignore();   // the newline ending the numeric row
-    std::getline(is, rep.firedPoint);
-    std::getline(is, rep.error, '\0');
-    nvo_assert(!is.bad(), "malformed campaign worker payload");
-    return rep;
-}
+    bool crashed = false;
+    bool consistent = false;
+    std::uint64_t firedHit = 0;
+    EpochWide recEpoch = 0;
+    std::uint64_t linesChecked = 0;
+    std::uint64_t mismatches = 0;
+    std::uint64_t inflightSkips = 0;
+};
 
 } // namespace
 
@@ -282,14 +263,18 @@ runCrashCampaign(const Config &base_cfg, const CampaignParams &params)
         plans.push_back(std::move(plan));
     }
 
-    std::vector<std::string> payloads = par::forkMap(
+    const std::vector<TrialSummary> trials = par::forkMapOf(
         params.trials, params.jobs,
         [&](unsigned t) {
             unsigned wi =
                 t % static_cast<unsigned>(params.workloads.size());
             CrashSimulator sim(trial_cfg, params.scheme,
                                params.workloads[wi]);
-            return encodeReport(sim.run(plans[t]));
+            const CrashReport rep = sim.run(plans[t]);
+            return TrialSummary{rep.crashed,      rep.consistent(),
+                                rep.firedHit,     rep.recEpoch,
+                                rep.linesChecked, rep.mismatches,
+                                rep.inflightSkips};
         },
         // Children stay silent; the parent prints every per-trial
         // line below, in trial order, whatever the job count.
@@ -299,7 +284,11 @@ runCrashCampaign(const Config &base_cfg, const CampaignParams &params)
         unsigned wi =
             t % static_cast<unsigned>(params.workloads.size());
         const std::string &workload = params.workloads[wi];
-        CrashReport rep = decodeReport(payloads[t]);
+        const TrialSummary &rep = trials[t];
+        const char *point = "completed";
+        if (rep.crashed)
+            point = plans[t].point.empty() ? "cycle"
+                                           : plans[t].point.c_str();
         ++res.trials;
         if (rep.crashed)
             ++res.crashes;
@@ -308,15 +297,14 @@ runCrashCampaign(const Config &base_cfg, const CampaignParams &params)
         inform("crash-campaign: trial %u/%u %s @ %s:%llu "
                "rec-epoch=%llu checked=%llu mismatches=%llu "
                "skips=%llu%s",
-               t + 1, params.trials, workload.c_str(),
-               rep.crashed ? rep.firedPoint.c_str() : "completed",
+               t + 1, params.trials, workload.c_str(), point,
                static_cast<unsigned long long>(rep.firedHit),
                static_cast<unsigned long long>(rep.recEpoch),
                static_cast<unsigned long long>(rep.linesChecked),
                static_cast<unsigned long long>(rep.mismatches),
                static_cast<unsigned long long>(rep.inflightSkips),
-               rep.consistent() ? "" : "  ** FAIL **");
-        if (!rep.consistent()) {
+               rep.consistent ? "" : "  ** FAIL **");
+        if (!rep.consistent) {
             if (res.failures == 0) {
                 // Minimization bisects serially in the parent; the
                 // first failure is the lowest trial index, matching

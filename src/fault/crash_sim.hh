@@ -99,7 +99,7 @@ struct CampaignParams
     unsigned trials = 50;
     std::uint64_t seed = 1;
     /**
-     * Worker processes for the trial sweep (par::forkMap); <= 1 runs
+     * Worker processes for the trial sweep (par::forkMapOf); <= 1 runs
      * inline. Every plan is pre-drawn from the seeded Rng in the
      * parent before any trial executes, so the plan stream, the
      * merged result, and the first-failure choice (lowest trial

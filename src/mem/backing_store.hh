@@ -52,7 +52,6 @@ class BackingStore
      * — and therefore still correct — epoch observations).
      */
     void setOidGranularity(unsigned lines_per_tag);
-    unsigned oidGranularity() const { return oidGran; }
 
     /** Read one line; untouched lines read as zero. */
     void readLine(Addr line_addr, LineData &out) const;

@@ -8,7 +8,6 @@ WriteTracker::record(Addr line_addr, SeqNo seq, EpochWide epoch,
                      std::uint64_t digest)
 {
     history[line_addr].push_back(Entry{seq, epoch, digest});
-    ++storeCount;
 }
 
 std::optional<std::uint64_t>

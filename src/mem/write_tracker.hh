@@ -60,18 +60,8 @@ class WriteTracker
     /** All tracked line addresses. */
     std::vector<Addr> trackedLines() const;
 
-    /** Full per-line history (diagnostics). */
-    const std::vector<Entry> *lineHistory(Addr line_addr) const
-    {
-        auto it = history.find(line_addr);
-        return it == history.end() ? nullptr : &it->second;
-    }
-
-    std::uint64_t numStores() const { return storeCount; }
-
   private:
     std::unordered_map<Addr, std::vector<Entry>> history;
-    std::uint64_t storeCount = 0;
 };
 
 } // namespace nvo

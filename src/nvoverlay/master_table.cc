@@ -55,7 +55,6 @@ MasterTable::idxAt(Addr line_addr, unsigned level)
 void
 MasterTable::emitMeta(std::uint32_t bytes)
 {
-    ++metaWriteCount;
     if (metaWrite)
         metaWrite(bytes);
 }

@@ -77,9 +77,6 @@ class MasterTable
 
     std::uint64_t mappedLines() const { return mapped; }
 
-    /** Cumulative 8-byte entry/pointer writes issued. */
-    std::uint64_t metaWrites() const { return metaWriteCount; }
-
     /**
      * Invariant sweep (NVO_AUDIT): the mapped-line counter matches
      * the tree's population and every mapped entry points at real
@@ -115,7 +112,6 @@ class MasterTable
     InnerNode *root;
     std::uint64_t nodeBytes_;
     std::uint64_t mapped = 0;
-    std::uint64_t metaWriteCount = 0;
 };
 
 } // namespace nvo

@@ -156,6 +156,14 @@ MnmBackend::insertVersion(Addr line_addr, EpochWide oid, SeqNo seq,
     // buffer evicts the (addr, epoch) slot; sinks.data stays empty.
 
     EpochTable &table = getTable(part, oid);
+    // A version at or behind rec-epoch lands in an already-merged
+    // table (see the late-merge block below): note its page's
+    // sub-page so a grow() that moves the page's mapped versions can
+    // be followed in the master.
+    const bool late = recEpoch_ != 0 && oid <= recEpoch_;
+    const EpochTable::PageEntry *before =
+        late ? table.pageEntry(pageAlign(line_addr)) : nullptr;
+    const Addr late_old_sub = before ? before->subPage : invalidAddr;
     bool ok = table.insert(line_addr, seq, content, sinks);
     if (!ok) {
         // Pool exhausted: compact if enabled, else ask the OS for
@@ -183,7 +191,14 @@ MnmBackend::insertVersion(Addr line_addr, EpochWide oid, SeqNo seq,
     // mergeUpTo() never revisits merged epochs, so map the late
     // version into the master here — otherwise the recovered image
     // would silently miss it.
-    if (recEpoch_ != 0 && oid <= recEpoch_) {
+    if (late) {
+        EpochTable::PageEntry *pe =
+            table.pageEntry(pageAlign(line_addr));
+        nvo_assert(pe != nullptr);
+        // The master maps the page's other lines by address whether
+        // or not this version is mapped below.
+        if (late_old_sub != invalidAddr && pe->subPage != late_old_sub)
+            remapRelocated(part, table, *pe);
         const MasterTable::Entry *cur = part.master->lookup(line_addr);
         if (cur == nullptr || cur->epoch <= oid) {
             NVO_FAULT_POINT("omc.late_merge");
@@ -191,9 +206,6 @@ MnmBackend::insertVersion(Addr line_addr, EpochWide oid, SeqNo seq,
             nvo_assert(nvm_addr != invalidAddr);
             auto replaced = masterInsert(part, line_addr, nvm_addr,
                                          oid);
-            EpochTable::PageEntry *pe =
-                table.pageEntry(pageAlign(line_addr));
-            nvo_assert(pe != nullptr);
             ++pe->liveMaster;
             if (replaced)
                 unref(oidx, part, line_addr, *replaced, now);

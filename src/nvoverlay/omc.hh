@@ -129,9 +129,6 @@ class MnmBackend
     /** Current recoverable epoch (0 = nothing recoverable yet). */
     EpochWide recEpoch() const { return recEpoch_; }
 
-    /** Rec-epoch whose persist fence completed (crash target). */
-    EpochWide durableRecEpoch() const { return durableRecEpoch_; }
-
     /** Flush all buffered writes to the device (battery flush). */
     void drainBuffers(Cycle now);
 
@@ -301,6 +298,7 @@ class MnmBackend
     std::vector<Part> parts;
     std::vector<EpochWide> minVers;
     EpochWide recEpoch_ = 0;
+    /** Rec-epoch whose persist fence completed (crash target). */
     EpochWide durableRecEpoch_ = 0;
     ReplSink *replSink = nullptr;
     tenant::TenantManager *tm_ = nullptr;

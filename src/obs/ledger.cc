@@ -185,13 +185,6 @@ Ledger::dataWrite(LedgerCause cause, std::uint64_t bytes,
 }
 
 std::uint64_t
-Ledger::dataBytesOf(tenant::Asid asid) const
-{
-    auto it = bytesByAsid_.find(asid);
-    return it == bytesByAsid_.end() ? 0 : it->second;
-}
-
-std::uint64_t
 Ledger::dataBytesTotal() const
 {
     std::uint64_t total = 0;

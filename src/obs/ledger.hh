@@ -182,16 +182,6 @@ class Ledger
     }
     std::uint64_t dataBytesTotal() const;
 
-    /** Data bytes attributed to one tenant. */
-    std::uint64_t dataBytesOf(tenant::Asid asid) const;
-
-    /**
-     * TEST ONLY (tenant.test_unaccounted): skip the per-ASID tally on
-     * sub-page relocation writes — a seeded attribution-leak bug the
-     * nvo_analyze per-tenant exact-sum check must catch.
-     */
-    void setTestUnaccounted(bool on) { testUnaccounted_ = on; }
-
     /** Visit every non-terminated (Inserted) entry. */
     void forEachLeak(
         const std::function<void(Addr, EpochWide, const Entry &)> &fn)
@@ -233,6 +223,9 @@ class Ledger
      *  when some write carried a nonzero ASID, keeping untenanted
      *  stats JSON byte-identical to the pre-tenant schema. */
     std::map<tenant::Asid, std::uint64_t> bytesByAsid_;
+    /** TEST ONLY (tenant.test_unaccounted): skip the per-ASID tally
+     *  on sub-page relocation writes — a seeded attribution-leak bug
+     *  the nvo_analyze per-tenant exact-sum check must catch. */
     bool testUnaccounted_ = false;
     std::unordered_map<std::pair<Addr, EpochWide>, Entry, KeyHash>
         entries;

@@ -7,7 +7,10 @@
  * fans the task list across forked worker processes — each child a
  * full copy-on-write image of the parent, no shared simulator state
  * at all — and ships each task's result back over a pipe as an
- * opaque byte payload.
+ * opaque byte payload. forkMapOf() is the typed front end the callers
+ * use: each task returns a trivially copyable value (a bench's Cell
+ * struct, a campaign trial summary) whose object bytes are the
+ * payload, so no caller writes a text codec.
  *
  * Determinism: tasks are assigned round-robin (task t -> worker
  * t % jobs) and results are returned indexed by task, so the caller
@@ -23,9 +26,13 @@
 #ifndef NVO_PAR_PROCPOOL_HH
 #define NVO_PAR_PROCPOOL_HH
 
+#include <cstring>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
+
+#include "common/log.hh"
 
 namespace nvo
 {
@@ -47,6 +54,38 @@ std::vector<std::string>
 forkMap(unsigned num_tasks, unsigned jobs,
         const std::function<std::string(unsigned task)> &fn,
         const std::function<void(unsigned worker)> &child_init = {});
+
+/**
+ * forkMap() for a task function @p fn returning a trivially copyable
+ * value: each value travels as its object bytes, and the values come
+ * back in task order. Same scheduling, child_init and failure rules
+ * as forkMap(); a payload of the wrong size is fatal.
+ */
+template <typename Fn,
+          typename T = std::decay_t<std::invoke_result_t<Fn &, unsigned>>>
+std::vector<T>
+forkMapOf(unsigned num_tasks, unsigned jobs, Fn &&fn,
+          const std::function<void(unsigned worker)> &child_init = {})
+{
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "forkMapOf ships results as raw object bytes");
+    std::vector<std::string> payloads = forkMap(
+        num_tasks, jobs,
+        [&fn](unsigned t) {
+            const T value = fn(t);
+            return std::string(reinterpret_cast<const char *>(&value),
+                               sizeof value);
+        },
+        child_init);
+    std::vector<T> results(num_tasks);
+    for (unsigned t = 0; t < num_tasks; ++t) {
+        if (payloads[t].size() != sizeof(T))
+            fatal("forkMapOf: task %u sent %zu bytes, expected %zu", t,
+                  payloads[t].size(), sizeof(T));
+        std::memcpy(&results[t], payloads[t].data(), sizeof(T));
+    }
+    return results;
+}
 
 } // namespace par
 } // namespace nvo

@@ -15,7 +15,6 @@ PidController::step(std::int64_t measured)
     std::int64_t out = (p.kpNum * err + p.kiNum * integ_) / kGainDen;
     out = std::clamp(out, p.outMin, p.outMax);
     lastErr_ = err;
-    lastOut_ = out;
     return out;
 }
 

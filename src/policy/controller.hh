@@ -64,12 +64,10 @@ class PidController
     {
         integ_ = 0;
         lastErr_ = 0;
-        lastOut_ = 0;
     }
 
     std::int64_t integrator() const { return integ_; }
     std::int64_t lastError() const { return lastErr_; }
-    std::int64_t lastOutput() const { return lastOut_; }
     const PidParams &params() const { return p; }
 
     /** Retarget without losing the accumulated error history. */
@@ -79,7 +77,6 @@ class PidController
     PidParams p;
     std::int64_t integ_ = 0;
     std::int64_t lastErr_ = 0;
-    std::int64_t lastOut_ = 0;
 };
 
 struct HysteresisParams

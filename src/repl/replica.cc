@@ -108,7 +108,6 @@ ReplicaApplier::onFrame(const Frame &f, Cycle now)
             Quiesce q;
             standby->insertVersion(static_cast<Addr>(f.arg), f.epoch,
                                    f.frameId, f.payload, now);
-            ++latesApplied_;
         } else {
             // The amended epoch has not applied here yet; its content
             // is (or will be) part of the epoch's own delta once the
@@ -143,11 +142,9 @@ ReplicaApplier::tryApply(Cycle now)
             // Certify the epoch: the standby's own rec-epoch advances
             // and its tables merge exactly like a primary's.
             standby->reportMinVer(0, e + 1, now);
-            for (const auto &late : pe.lates) {
+            for (const auto &late : pe.lates)
                 standby->insertVersion(late.line, e, late.frameId,
                                        late.content, now);
-                ++latesApplied_;
-            }
         }
         nvo_assert(standby->recEpoch() == e,
                    "standby rec-epoch did not follow the applied "

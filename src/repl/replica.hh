@@ -58,12 +58,8 @@ class ReplicaApplier
     /** Highest epoch fully applied (the standby's rec-epoch). */
     EpochWide appliedRecEpoch() const { return appliedRec; }
 
-    /** Epochs buffered but not yet applicable (gap or unclosed). */
-    std::size_t pendingEpochs() const { return pending.size(); }
-
     std::uint64_t framesDeduped() const { return deduped; }
     std::uint64_t epochsApplied() const { return applied; }
-    std::uint64_t latesApplied() const { return latesApplied_; }
 
     /** Standby image reads (failover verification). */
     const MnmBackend &backend() const { return *standby; }
@@ -100,7 +96,6 @@ class ReplicaApplier
     std::set<std::uint64_t> seenFrames;
     std::uint64_t deduped = 0;
     std::uint64_t applied = 0;
-    std::uint64_t latesApplied_ = 0;
 };
 
 } // namespace repl

@@ -85,9 +85,7 @@ class DeltaShipper : public ReplSink
 
     EpochWide cursor() const { return cursor_; }
     EpochWide durableCursor() const { return durableCursor_; }
-    EpochWide shippedUpTo() const { return shippedUpTo_; }
     std::uint32_t generation() const { return generation_; }
-    std::uint64_t framesShipped() const { return nextFrameId - 1; }
 
   private:
     void shipEpoch(EpochWide e, Cycle now);

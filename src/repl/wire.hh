@@ -109,8 +109,6 @@ class Decoder
     /** Scan restarts after garbage (one per corrupt/garbage run). */
     std::uint64_t resyncs() const { return resyncCount; }
     std::uint64_t bytesDiscarded() const { return discarded; }
-    /** Bytes buffered awaiting a complete frame. */
-    std::size_t pendingBytes() const { return buf.size() - pos; }
 
   private:
     /** Drop one buffered byte while scanning for the next magic. */

@@ -131,7 +131,6 @@ class TenantManager
     /** Tenant slot, or nullptr if @p asid never showed activity. */
     const PerTenant *tenant(Asid asid) const;
 
-    std::size_t activeTenants() const { return tenants.size(); }
     const Params &params() const { return p; }
 
   private:

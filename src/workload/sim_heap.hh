@@ -42,10 +42,6 @@ class SimHeap
 
     std::uint64_t allocatedBytes(unsigned arena) const;
     std::uint64_t totalAllocated() const;
-    unsigned numArenas() const
-    {
-        return static_cast<unsigned>(cursors.size());
-    }
 
   private:
     Addr base_;

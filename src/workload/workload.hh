@@ -63,7 +63,6 @@ class WorkloadBase : public RefSource
 
     std::uint64_t opsCompleted() const;
     const Params &params() const { return p; }
-    SimHeap &heapRef() { return heap; }
 
   protected:
     /** Shared arena id. */

@@ -176,12 +176,6 @@ TEST(LedgerIntegration, CompactionRunStaysBalanced)
 {
     if (!obs::ledgerCompiled)
         GTEST_SKIP() << "built with NVO_TRACE=OFF";
-    if (audit::enabled)
-        GTEST_SKIP()
-            << "pool starvation + auto_reclaim trips the audit "
-               "sweep's in_live_sub_page assertion on this geometry "
-               "even without the ledger (pre-existing; reproducible "
-               "on the unmodified tree with the same nvo_sim flags)";
     Config cfg = smallConfig();
     // Starve the pool so compaction actually moves versions; the
     // CompactionCopy cause and the Compacted terminal state must

@@ -150,6 +150,46 @@ TEST_F(MnmTest, LateVersionBehindRecEpochReachesMaster)
     backend->audit();
 }
 
+TEST_F(MnmTest, LateMergeThatGrowsASubPageRemapsTheMaster)
+{
+    params.numOmcs = 1;
+    params.numVds = 1;
+    params.table.initLines = 4;
+    rebuild();
+    const Addr page = 0x10000;
+    // Lines 0-3 fill the page's initial 4-line sub-page; the merge
+    // maps them into the master by NVM address.
+    for (unsigned i = 0; i < 4; ++i)
+        backend->insertVersion(page + i * lineBytes, 1, ++seq,
+                               lineOf(10 + i), 0);
+    backend->reportMinVer(0, 2, 0);
+    ASSERT_EQ(backend->recEpoch(), 1u);
+
+    // A late line-4 version grows the merged table's sub-page, which
+    // moves lines 0-3 and frees their old block.
+    backend->insertVersion(page + 4 * lineBytes, 1, ++seq, lineOf(14),
+                           0);
+    const EpochTable *table = backend->epochTable(0, 1);
+    ASSERT_NE(table, nullptr);
+    for (unsigned i = 0; i < 5; ++i) {
+        const Addr line = page + i * lineBytes;
+        const auto *entry = backend->master(0).lookup(line);
+        ASSERT_NE(entry, nullptr) << "line " << i;
+        EXPECT_EQ(entry->nvmAddr, table->lookupNvm(line))
+            << "master still points at the freed sub-page, line " << i;
+    }
+
+    // Another page's sub-page may reuse the freed block; recovery
+    // must still read lines 0-3's own content.
+    backend->insertVersion(0x20000, 3, ++seq, lineOf(99), 0);
+    for (unsigned i = 0; i < 5; ++i) {
+        LineData out;
+        ASSERT_TRUE(backend->readMaster(page + i * lineBytes, out));
+        EXPECT_EQ(out, lineOf(10 + i)) << "line " << i;
+    }
+    backend->audit();
+}
+
 TEST_F(MnmTest, SnapshotFallThroughSemantics)
 {
     backend->insertVersion(0x1000, 2, ++seq, lineOf(2), 0);
