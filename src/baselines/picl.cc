@@ -1,5 +1,7 @@
 #include "baselines/picl.hh"
 
+#include "common/audit.hh"
+
 namespace nvo
 {
 
@@ -53,12 +55,17 @@ PiclScheme::scheduleWalk()
         return;
     // ACS: collect dirty lines from completed epochs; drain them to
     // NVM over the following ticks (this is the epoch-boundary
-    // bandwidth surge of Fig. 17).
+    // bandwidth surge of Fig. 17). Only marked slots can hold a dirty
+    // line, and they are visited in slot order, as a full scan would.
     const EpochWide epoch = globalEpoch();
-    tags.forEachValid([&](CacheLine &line) {
-        if (line.dirty && line.oid < epoch) {
+    tags.forEachMarked([&](CacheLine &line) {
+        if (!line.dirty)
+            return;
+        if (line.oid < epoch) {
             drainQueue.push_back(line.addr);
             line.dirty = false;
+        } else {
+            tags.mark(line);
         }
     });
 }
@@ -95,14 +102,15 @@ PiclScheme::onStore(unsigned core, unsigned vd, Addr line_addr,
             // tracking structure must be persisted now.
             stall += writeData(line->addr, now, EvictReason::Capacity);
         }
-        line->reset();
-        line->addr = line_addr;
+        tags.install(line, line_addr);
         line->dirty = true;
         line->oid = epoch;
         line->seq = epoch;
-        tags.lookup(line_addr);
         stall += writeLog(now);
     }
+    // Every dirty line's slot is marked: the walk and the shutdown
+    // flush visit marked slots only.
+    tags.mark(*line);
 
     if (storeClosesEpoch()) {
         ++stats.epochAdvances;
@@ -133,7 +141,7 @@ PiclScheme::finalize(Cycle now)
     if (!walkerEnabled) {
         // Without the walker, finalize still flushes dirty state —
         // as a shutdown flush, not as walk traffic.
-        tags.forEachValid([&](CacheLine &line) {
+        tags.forEachMarked([&](CacheLine &line) {
             if (line.dirty) {
                 writeData(line.addr, now, EvictReason::EpochFlush);
                 line.dirty = false;
@@ -141,6 +149,17 @@ PiclScheme::finalize(Cycle now)
         });
     }
     return std::max(now, nvm.drainCompletion());
+}
+
+void
+PiclScheme::registerAudits(Auditor &auditor)
+{
+    auditor.add("picl.tags", [this] {
+        tags.forEachValid([this](const CacheLine &line) {
+            NVO_AUDIT(!line.dirty || tags.marked(line),
+                      "dirty PiCL tag outside the marked slots");
+        });
+    });
 }
 
 } // namespace nvo

@@ -45,6 +45,10 @@ class PiclScheme : public Scheme
     void tick(Cycle now) override;
     Cycle finalize(Cycle now) override;
 
+    /** Sweep (NVO_AUDIT): every dirty tag's slot is marked, so the
+     *  walk, which visits marked slots only, misses no dirty line. */
+    void registerAudits(Auditor &auditor) override;
+
     std::uint64_t drainBacklog() const { return drainQueue.size(); }
 
   private:

@@ -30,6 +30,8 @@ CacheArray::CacheArray(std::uint64_t size_bytes, unsigned ways)
     nvo_assert(isPow2(num_sets), "number of sets must be a power of 2");
     sets = static_cast<unsigned>(num_sets);
     lines.resize(static_cast<std::size_t>(sets) * ways_);
+    marks.resize((lines.size() + 63) / 64);
+    markedWords.resize((marks.size() + 63) / 64);
 }
 
 unsigned
@@ -70,18 +72,35 @@ CacheArray::probe(Addr line_addr) const
 CacheLine *
 CacheArray::allocSlot(Addr line_addr)
 {
-    nvo_assert(probe(line_addr) == nullptr,
-               "allocSlot on an already-present address");
+    nvo_assert(lineAlign(line_addr) == line_addr);
     CacheLine *base = &lines[static_cast<std::size_t>(setOf(line_addr)) *
                              ways_];
+    // One pass over the set: remember the first invalid way and the
+    // first way with the smallest stamp, and check every valid way
+    // for the address on the way.
+    CacheLine *invalid = nullptr;
     CacheLine *victim = &base[0];
     for (unsigned w = 0; w < ways_; ++w) {
-        if (!base[w].valid())
-            return &base[w];
+        if (!base[w].valid()) {
+            if (!invalid)
+                invalid = &base[w];
+            continue;
+        }
+        nvo_assert(base[w].addr != line_addr,
+                   "allocSlot on an already-present address");
         if (base[w].lru < victim->lru)
             victim = &base[w];
     }
-    return victim;
+    return invalid ? invalid : victim;
+}
+
+void
+CacheArray::install(CacheLine *slot, Addr line_addr)
+{
+    nvo_assert(slot != nullptr);
+    slot->reset();
+    slot->addr = line_addr;
+    slot->lru = ++lruClock;
 }
 
 void
@@ -106,23 +125,6 @@ CacheArray::setBase(unsigned set_idx)
 {
     nvo_assert(set_idx < sets);
     return &lines[static_cast<std::size_t>(set_idx) * ways_];
-}
-
-void
-CacheArray::forEachValid(const std::function<void(CacheLine &)> &fn)
-{
-    for (auto &line : lines)
-        if (line.valid())
-            fn(line);
-}
-
-void
-CacheArray::forEachValid(
-    const std::function<void(const CacheLine &)> &fn) const
-{
-    for (const auto &line : lines)
-        if (line.valid())
-            fn(line);
 }
 
 void

@@ -7,13 +7,22 @@
  * address; unlike the original Page Overlays design, NVOverlay looks
  * up by address only, never by (address, OID) pairs (paper
  * Sec. IV-A1), so one address occupies at most one slot per array.
+ *
+ * A fill scans its set once: allocSlot picks the slot (and checks
+ * that the address is absent in the same pass), the caller handles
+ * the victim, and install() claims the slot and makes it MRU without
+ * another scan. Besides the lines the array keeps one mark bit per
+ * slot, for callers that walk a sparse subset of slots (the L2's
+ * modified lines for the tag walk, PiCL's dirty lines).
  */
 
 #ifndef NVO_CACHE_CACHE_ARRAY_HH
 #define NVO_CACHE_CACHE_ARRAY_HH
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "cache/coherence.hh"
@@ -40,12 +49,20 @@ class CacheArray
     const CacheLine *probe(Addr line_addr) const;
 
     /**
-     * Pick a slot for @p line_addr in its set: an invalid way if one
-     * exists, else the LRU way. The caller must handle the returned
-     * slot's previous content (the victim) before overwriting it.
-     * @p line_addr must not already be present.
+     * Pick a slot for @p line_addr in its set: the first invalid way,
+     * else the first way with the smallest replacement stamp (LRU).
+     * The caller must handle the returned slot's previous content
+     * (the victim) and then install() it. @p line_addr must not
+     * already be present; the one scan of the set checks that too.
      */
     CacheLine *allocSlot(Addr line_addr);
+
+    /**
+     * Claim @p slot (from allocSlot, victim already handled) for
+     * @p line_addr: reset it, set its address and make it MRU, as a
+     * lookup hit would. The state and version fields stay reset.
+     */
+    void install(CacheLine *slot, Addr line_addr);
 
     /** Invalidate (reset) a line previously returned by lookup. */
     void invalidate(CacheLine *line);
@@ -60,13 +77,66 @@ class CacheArray
     /** Number of currently valid lines. */
     unsigned numValid() const;
 
-    /** Iterate over all lines of one set (tag-walker support). */
+    /** First way of set @p set_idx; the sets lie back to back. */
     CacheLine *setBase(unsigned set_idx);
 
-    /** Visit every valid line. */
-    void forEachValid(const std::function<void(CacheLine &)> &fn);
-    void forEachValid(
-        const std::function<void(const CacheLine &)> &fn) const;
+    /** Visit every valid line, in slot order. */
+    template <typename Fn>
+    void
+    forEachValid(Fn &&fn)
+    {
+        for (auto &line : lines)
+            if (line.valid())
+                fn(line);
+    }
+
+    template <typename Fn>
+    void
+    forEachValid(Fn &&fn) const
+    {
+        for (const auto &line : lines)
+            if (line.valid())
+                fn(line);
+    }
+
+    /** Add @p line's slot to the marked set. */
+    void
+    mark(const CacheLine &line)
+    {
+        const std::size_t idx = slotOf(line);
+        marks[idx / 64] |= std::uint64_t(1) << (idx % 64);
+        markedWords[idx / 4096] |= std::uint64_t(1) << (idx / 64 % 64);
+    }
+
+    /** True when @p line's slot is in the marked set. */
+    bool
+    marked(const CacheLine &line) const
+    {
+        const std::size_t idx = slotOf(line);
+        return (marks[idx / 64] >> (idx % 64)) & 1u;
+    }
+
+    /**
+     * Take every marked slot out of the set and call @p fn on it, in
+     * ascending slot order (the order of forEachValid). A mark names
+     * a slot, not a line: the slot may have been invalidated or
+     * refilled since, so @p fn checks what it finds. @p fn may mark
+     * the slot again; it is not revisited in this pass.
+     */
+    template <typename Fn>
+    void
+    forEachMarked(Fn &&fn)
+    {
+        for (std::size_t s = 0; s < markedWords.size(); ++s) {
+            for (std::uint64_t words = std::exchange(markedWords[s], 0);
+                 words != 0; words &= words - 1) {
+                const std::size_t w = s * 64 + std::countr_zero(words);
+                for (std::uint64_t bits = std::exchange(marks[w], 0);
+                     bits != 0; bits &= bits - 1)
+                    fn(lines[w * 64 + std::countr_zero(bits)]);
+            }
+        }
+    }
 
     /**
      * Structural invariant sweep (NVO_AUDIT): every valid line sits
@@ -79,10 +149,20 @@ class CacheArray
   private:
     unsigned setOf(Addr line_addr) const;
 
+    std::size_t
+    slotOf(const CacheLine &line) const
+    {
+        return static_cast<std::size_t>(&line - lines.data());
+    }
+
     unsigned sets;
     unsigned ways_;
     std::uint64_t lruClock = 0;
     std::vector<CacheLine> lines;
+    std::vector<std::uint64_t> marks;   ///< one bit per slot
+    /** One bit per word of `marks`, set while the word may be nonzero,
+     *  so a pass costs the marked slots, not the slot count. */
+    std::vector<std::uint64_t> markedWords;
 };
 
 } // namespace nvo

@@ -43,17 +43,21 @@ writable(CohState s)
  * current value because a newer version exists above it (created by
  * NVOverlay store-eviction). Live dirty lines read their content from
  * the backing store at write-back time.
+ *
+ * Fields are ordered by size, which packs a line into 48 B with no
+ * interior padding: a 16-way LLC set spans twelve host cache lines,
+ * and every set scan (CacheArray) reads all of them.
  */
 struct CacheLine
 {
     Addr addr = invalidAddr;      ///< line-aligned address; invalid slot
-    CohState state = CohState::I;
-    bool dirty = false;
     EpochWide oid = 0;            ///< epoch of last write (version tag)
     SeqNo seq = 0;                ///< last store seqno (verification)
     std::uint64_t lru = 0;        ///< replacement stamp
-    std::uint16_t sharers = 0;    ///< L2 only: bitmask of local L1s
     std::unique_ptr<LineData> sealedData;   ///< sealed version payload
+    std::uint16_t sharers = 0;    ///< L2 only: bitmask of local L1s
+    CohState state = CohState::I;
+    bool dirty = false;
 
     bool valid() const { return addr != invalidAddr; }
     bool sealed() const { return sealedData != nullptr; }
@@ -70,6 +74,8 @@ struct CacheLine
         sealedData.reset();
     }
 };
+
+static_assert(sizeof(CacheLine) == 48, "CacheLine packs into 48 B");
 
 } // namespace nvo
 

@@ -102,17 +102,14 @@ void
 Hierarchy::llcInsert(Addr line_addr, EpochWide oid, SeqNo seq, bool dirty,
                      Cycle now)
 {
-    LlcSlice &sl = *slices[sliceOf(line_addr)];
-    CacheLine *line = sl.array().lookup(line_addr);
+    CacheArray &arr = slices[sliceOf(line_addr)]->array();
+    CacheLine *line = arr.lookup(line_addr);
     if (!line) {
-        line = sl.array().allocSlot(line_addr);
+        line = arr.allocSlot(line_addr);
         if (line->valid())
             llcEvictVictim(*line, now);
-        line->reset();
-        line->addr = line_addr;
+        arr.install(line, line_addr);
         line->state = CohState::S;
-        // Bump replacement state for the fresh line.
-        sl.array().lookup(line_addr);
     }
     // OIDs only move forward at the LLC (Sec. IV-A4).
     if (oid >= line->oid) {
@@ -223,12 +220,17 @@ Hierarchy::handleL2Victim(unsigned vd, CacheLine &victim, Cycle now)
         }
     }
 
-    // Release directory presence.
+    // Release directory presence. The entry lists exactly the VDs whose
+    // L2 holds the line, and an owner is always a sharer, so once the
+    // last sharer leaves the entry equals a fresh one: erase it. This
+    // may move other entries of the slice (see LlcSlice::dir).
     LlcSlice &sl = *slices[sliceOf(addr)];
     if (DirEntry *e = sl.dirProbe(addr)) {
         e->removeSharer(vd);
         if (e->ownerVd == static_cast<int>(vd))
             e->ownerVd = -1;
+        if (e->sharerVds == 0)
+            sl.dirErase(addr);
     }
     victim.reset();
     return stall;
@@ -242,13 +244,11 @@ Hierarchy::fillL1(unsigned core, Addr addr, CohState st, EpochWide oid,
     CacheLine *slot = arr.allocSlot(addr);
     if (slot->valid())
         handleL1Victim(core, *slot, now);
-    slot->reset();
-    slot->addr = addr;
+    arr.install(slot, addr);
     slot->state = st;
     slot->oid = oid;
     slot->seq = seq;
     slot->dirty = dirty;
-    arr.lookup(addr);   // bump LRU
     return slot;
 }
 
@@ -263,8 +263,7 @@ Hierarchy::fillL2(unsigned vd, Addr addr, CohState st, EpochWide oid,
         handleL2Victim(vd, *slot, now);
     else
         l2c.countFill();
-    slot->reset();
-    slot->addr = addr;
+    arr.install(slot, addr);
     if (st == CohState::M)
         l2c.setModified(*slot);
     else
@@ -272,7 +271,6 @@ Hierarchy::fillL2(unsigned vd, Addr addr, CohState st, EpochWide oid,
     slot->oid = oid;
     slot->seq = seq;
     slot->dirty = dirty;
-    arr.lookup(addr);
     return slot;
 }
 
@@ -387,16 +385,14 @@ Hierarchy::downgradeVd(unsigned vd, Addr addr, Cycle now)
                     EvictReason::Coherence, now);
         l2_line->dirty = false;
         l2_line->sealedData.reset();
-    } else if (!vctrl) {
-        // Plain MESI: clean E downgrade, nothing to write back.
     }
     l2_line->state = CohState::S;
     return l2_line->oid;
 }
 
 CacheLine *
-Hierarchy::fetchIntoL2(unsigned vd, Addr addr, bool exclusive, Cycle now,
-                       Cycle &lat)
+Hierarchy::fetchIntoL2(unsigned vd, Addr addr, CacheLine *mine,
+                       bool exclusive, Cycle now, Cycle &lat)
 {
     unsigned slice_idx = sliceOf(addr);
     LlcSlice &sl = *slices[slice_idx];
@@ -410,8 +406,6 @@ Hierarchy::fetchIntoL2(unsigned vd, Addr addr, bool exclusive, Cycle now,
     SeqNo rseq = 0;
     bool c2c_dirty = false;
     bool have_rv = false;
-
-    CacheLine *mine = l2s[vd]->array().probe(addr);
 
     // Snoop a remote owner.
     if (e.ownerVd >= 0 && e.ownerVd != static_cast<int>(vd)) {
@@ -489,7 +483,9 @@ Hierarchy::fetchIntoL2(unsigned vd, Addr addr, bool exclusive, Cycle now,
     // Lamport-clock epoch synchronization on the response (Sec. IV-B2).
     lat += observeRv(vd, observed_rv, now + lat);
 
-    // Install in our L2.
+    // Install in our L2. This is the last use of `e`: fillL2 may evict
+    // a victim whose directory entry (possibly in this slice) is then
+    // erased, which can move `e`.
     e.addSharer(vd);
     CohState st;
     if (exclusive) {
@@ -531,7 +527,7 @@ Hierarchy::load(unsigned core, Addr addr, Cycle now)
     CacheLine *l2_line = l2c.array().lookup(addr);
     if (!l2_line) {
         ++stats.l2Misses;
-        l2_line = fetchIntoL2(vd, addr, false, now, lat);
+        l2_line = fetchIntoL2(vd, addr, nullptr, false, now, lat);
     } else {
         ++stats.l2Hits;
     }
@@ -557,11 +553,10 @@ Hierarchy::load(unsigned core, Addr addr, Cycle now)
         (writable(l2_line->state) && l2_line->sharers == 0)
             ? CohState::E
             : CohState::S;
+    // fillL1 may displace a victim whose PUTX lands in this L2, but
+    // only in the victim's existing line: it never allocates here, so
+    // l2_line stays put.
     fillL1(core, addr, grant, l2_line->oid, l2_line->seq, false, now);
-    // fillL1 may displace a victim whose PUTX lands in this same L2
-    // set; re-probe to be safe.
-    l2_line = l2c.array().probe(addr);
-    nvo_assert(l2_line != nullptr);
     L2Cache::addSharer(*l2_line, l2c.localIdx(core));
     return lat + opStall;
 }
@@ -577,13 +572,16 @@ Hierarchy::store(unsigned core, Addr addr, const void *data,
     Cycle lat = l1s[core]->latency();
 
     CacheLine *l1_line = l1s[core]->array().lookup(line_addr);
+    CacheLine *l2_line = nullptr;
     bool l1_writable = l1_line && writable(l1_line->state);
     if (l1_writable) {
         ++stats.l1Hits;
+        l2_line = l2c.array().probe(line_addr);
+        nvo_assert(l2_line != nullptr, "inclusion: L1 hit with no L2 line");
     } else {
         ++stats.l1Misses;
         lat += l2c.latency();
-        CacheLine *l2_line = l2c.array().lookup(line_addr);
+        l2_line = l2c.array().lookup(line_addr);
         bool local = l2_line && writable(l2_line->state);
         if (local) {
             ++stats.l2Hits;
@@ -592,7 +590,7 @@ Hierarchy::store(unsigned core, Addr addr, const void *data,
                 ++stats.l2Hits;   // present but needs an upgrade
             else
                 ++stats.l2Misses;
-            l2_line = fetchIntoL2(vd, line_addr, true, now, lat);
+            l2_line = fetchIntoL2(vd, line_addr, l2_line, true, now, lat);
         }
 
         // Invalidate sibling L1 copies (intra-VD GETX, Fig. 7).
@@ -618,19 +616,17 @@ Hierarchy::store(unsigned core, Addr addr, const void *data,
             l1_line->state = CohState::E;
         } else {
             // Fill the L1; a dirty c2c-transferred version moves up
-            // into the L1 (it is the store's target).
+            // into the L1 (it is the store's target). As in load(),
+            // fillL1's victim never moves l2_line.
             bool move_dirty = l2_line->dirty && !l2_line->sealed();
             l1_line = fillL1(core, line_addr,
                              move_dirty ? CohState::M : CohState::E,
                              l2_line->oid, l2_line->seq, move_dirty,
                              now);
-            l2_line = l2c.array().probe(line_addr);
-            nvo_assert(l2_line != nullptr);
             if (move_dirty)
                 l2_line->dirty = false;
         }
         L2Cache::addSharer(*l2_line, l2c.localIdx(core));
-        l2c.setModified(*l2_line);
     }
 
     // --- Version access protocol at the L1 (paper Sec. IV-A1) ---
@@ -653,8 +649,6 @@ Hierarchy::store(unsigned core, Addr addr, const void *data,
             // A clean L1 store may leave an older live dirty version
             // in the L2 below; seal its content in place before the
             // line changes (models the L2 holding its own data copy).
-            CacheLine *l2_line = l2c.array().probe(line_addr);
-            nvo_assert(l2_line != nullptr);
             if (l2_line->dirty && !l2_line->sealed() &&
                 l2_line->oid < cur) {
                 NVO_TRACE(Cache, VersionSeal, obs::trackVd(vd), now,
@@ -670,24 +664,21 @@ Hierarchy::store(unsigned core, Addr addr, const void *data,
     // --- Commit ---
     SeqNo seq = ++seqCounter;
     if (data) {
-        backing.applyPatch(addr, data, size);
+        backing.commitStore(addr, data, size, cur, seq);
     } else {
         // Synthetic content: stamp the seqno so content always
         // changes and verification digests are meaningful.
         std::uint64_t stamp = seq;
         Addr at = std::min(addr & ~static_cast<Addr>(7),
                            line_addr + lineBytes - 8);
-        backing.applyPatch(at, &stamp, 8);
+        backing.commitStore(at, &stamp, 8, cur, seq);
     }
-    backing.setLineMeta(line_addr, cur, seq);
     l1_line->state = CohState::M;
     l1_line->dirty = true;
     l1_line->oid = cur;
     l1_line->seq = seq;
 
     // The L2 copy keeps ownership (the VD holds dirty data above).
-    CacheLine *l2_line = l2c.array().probe(line_addr);
-    nvo_assert(l2_line != nullptr);
     l2c.setModified(*l2_line);
 
     if (wtracker) {
@@ -859,9 +850,7 @@ const DirEntry *
 Hierarchy::dirEntry(Addr addr) const
 {
     Addr line_addr = lineAlign(addr);
-    return const_cast<Hierarchy *>(this)
-        ->slices[sliceOf(line_addr)]
-        ->dirProbe(line_addr);
+    return slices[sliceOf(line_addr)]->dirProbe(line_addr);
 }
 
 std::string
@@ -876,62 +865,79 @@ Hierarchy::checkInvariants(bool quiescent) const
     // 1. Inclusion and sharer-bit consistency.
     for (unsigned core = 0; core < p.numCores; ++core) {
         unsigned vd = core / p.coresPerVd;
-        const_cast<CacheArray &>(l1s[core]->array())
-            .forEachValid([&](CacheLine &line) {
-                const CacheLine *l2_line =
-                    l2s[vd]->array().probe(line.addr);
-                if (!l2_line) {
-                    fail("L1 line without inclusive L2 line");
-                    return;
-                }
-                if (!L2Cache::hasSharer(*l2_line,
-                                        l2s[vd]->localIdx(core)))
-                    fail("L1 line without L2 sharer bit");
-                if (line.sealed())
-                    fail("sealed payload in an L1");
-                // A store hit on a writable L1 line commits without
-                // consulting sibling copies, so a stale clean S copy
-                // can lag the L2 tag until it is invalidated or
-                // evicted; the relation only holds at quiescent
-                // points.
-                if (quiescent && line.oid < l2_line->oid)
-                    fail("L1 version older than L2 version");
-            });
+        l1s[core]->array().forEachValid([&](const CacheLine &line) {
+            const CacheLine *l2_line =
+                l2s[vd]->array().probe(line.addr);
+            if (!l2_line) {
+                fail("L1 line without inclusive L2 line");
+                return;
+            }
+            if (!L2Cache::hasSharer(*l2_line,
+                                    l2s[vd]->localIdx(core)))
+                fail("L1 line without L2 sharer bit");
+            if (line.sealed())
+                fail("sealed payload in an L1");
+            // A store hit on a writable L1 line commits without
+            // consulting sibling copies, so a stale clean S copy
+            // can lag the L2 tag until it is invalidated or
+            // evicted; the relation only holds at quiescent
+            // points.
+            if (quiescent && line.oid < l2_line->oid)
+                fail("L1 version older than L2 version");
+        });
     }
 
     // 2. Sharer bits point at real L1 lines; single M copy per VD.
     for (unsigned vd = 0; vd < numVds_; ++vd) {
-        const_cast<CacheArray &>(l2s[vd]->array())
-            .forEachValid([&](CacheLine &line) {
-                unsigned m_copies = 0;
-                for (unsigned i = 0; i < p.coresPerVd; ++i) {
-                    if (!L2Cache::hasSharer(line, i))
-                        continue;
-                    unsigned core = vd * p.coresPerVd + i;
-                    const CacheLine *l1_line =
-                        l1s[core]->array().probe(line.addr);
-                    if (!l1_line) {
-                        fail("L2 sharer bit without L1 line");
-                        continue;
-                    }
-                    if (l1_line->state == CohState::M)
-                        ++m_copies;
+        l2s[vd]->array().forEachValid([&](const CacheLine &line) {
+            unsigned m_copies = 0;
+            for (unsigned i = 0; i < p.coresPerVd; ++i) {
+                if (!L2Cache::hasSharer(line, i))
+                    continue;
+                unsigned core = vd * p.coresPerVd + i;
+                const CacheLine *l1_line =
+                    l1s[core]->array().probe(line.addr);
+                if (!l1_line) {
+                    fail("L2 sharer bit without L1 line");
+                    continue;
                 }
-                if (m_copies > 1)
-                    fail("two M copies in one VD");
-                if (line.sealed() && !line.dirty)
-                    fail("sealed but clean L2 line");
-                // Directory must list this VD as a sharer.
-                const DirEntry *e =
-                    const_cast<Hierarchy *>(this)
-                        ->slices[sliceOf(line.addr)]
-                        ->dirProbe(line.addr);
-                if (!e || !e->isSharer(vd))
-                    fail("L2 line not listed in the directory");
-                if (writable(line.state) && e &&
-                    e->ownerVd != static_cast<int>(vd))
-                    fail("E/M line without directory ownership");
-            });
+                if (l1_line->state == CohState::M)
+                    ++m_copies;
+            }
+            if (m_copies > 1)
+                fail("two M copies in one VD");
+            if (line.sealed() && !line.dirty)
+                fail("sealed but clean L2 line");
+            // Directory must list this VD as a sharer.
+            const DirEntry *e =
+                slices[sliceOf(line.addr)]->dirProbe(line.addr);
+            if (!e || !e->isSharer(vd))
+                fail("L2 line not listed in the directory");
+            if (writable(line.state) && e &&
+                e->ownerVd != static_cast<int>(vd))
+                fail("E/M line without directory ownership");
+        });
+    }
+
+    // 3. The directory lists only L2-resident lines: every entry has a
+    // sharer, every sharer VD's L2 holds the line, and an owner holds
+    // it in E or M. With (2) the entries are exactly the lines some L2
+    // holds, so they never outnumber the L2 slots.
+    for (const auto &sl : slices) {
+        sl->forEachDir([&](Addr addr, const DirEntry &e) {
+            if (e.sharerVds == 0)
+                fail("directory entry without a sharer");
+            for (unsigned vd = 0; vd < numVds_; ++vd)
+                if (e.isSharer(vd) && !l2s[vd]->array().probe(addr))
+                    fail("directory sharer VD without the L2 line");
+            if (e.ownerVd >= 0) {
+                const CacheLine *l2_line =
+                    l2s[static_cast<unsigned>(e.ownerVd)]->array().probe(
+                        addr);
+                if (!l2_line || !writable(l2_line->state))
+                    fail("directory owner without the line in E or M");
+            }
+        });
     }
 
     return err.str();

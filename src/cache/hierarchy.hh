@@ -191,8 +191,8 @@ class Hierarchy
 
     /**
      * Insert/refresh a line in the LLC slice as part of a write back;
-     * may evict an LLC victim to DRAM. Returns DRAM latency charged
-     * (usually ignored: write backs are posted).
+     * may evict an LLC victim, whose dirty data goes to DRAM (posted,
+     * so no latency is charged to anyone).
      */
     void llcInsert(Addr line_addr, EpochWide oid, SeqNo seq, bool dirty,
                    Cycle now);
@@ -229,11 +229,12 @@ class Hierarchy
     /**
      * Ensure the line is present in VD @p vd's L2 with (at least) the
      * requested permission, fetching through the directory when
-     * needed. Returns the response version (RV) and accumulates
-     * latency into @p lat.
+     * needed. @p mine is the caller's lookup of the line in that L2
+     * (nullptr on a miss; an S copy on an upgrade). Returns the L2
+     * line and accumulates latency into @p lat.
      */
-    CacheLine *fetchIntoL2(unsigned vd, Addr addr, bool exclusive,
-                           Cycle now, Cycle &lat);
+    CacheLine *fetchIntoL2(unsigned vd, Addr addr, CacheLine *mine,
+                           bool exclusive, Cycle now, Cycle &lat);
 
     struct InvResult
     {

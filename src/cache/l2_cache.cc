@@ -9,9 +9,7 @@ namespace nvo
 L2Cache::L2Cache(const Params &params, unsigned vd_id,
                  unsigned cores_per_vd)
     : arr(params.sizeBytes, params.ways), lat(params.latency), vd(vd_id),
-      localCores(cores_per_vd),
-      walkSet((static_cast<std::size_t>(arr.numSets()) * arr.numWays() +
-               63) / 64)
+      localCores(cores_per_vd)
 {
     nvo_assert(cores_per_vd <= 16, "sharer bitmask is 16 bits wide");
 }
@@ -42,27 +40,11 @@ L2Cache::hasSharer(const CacheLine &line, unsigned local_idx)
     return (line.sharers >> local_idx) & 1u;
 }
 
-std::size_t
-L2Cache::slotOf(const CacheLine &line) const
-{
-    // The array keeps its slots in one set-major vector.
-    const CacheLine *base = const_cast<CacheArray &>(arr).setBase(0);
-    return static_cast<std::size_t>(&line - base);
-}
-
 void
 L2Cache::setModified(CacheLine &line)
 {
     line.state = CohState::M;
-    const std::size_t idx = slotOf(line);
-    walkSet[idx / 64] |= std::uint64_t(1) << (idx % 64);
-}
-
-bool
-L2Cache::inWalkSet(const CacheLine &line) const
-{
-    const std::size_t idx = slotOf(line);
-    return (walkSet[idx / 64] >> (idx % 64)) & 1u;
+    arr.mark(line);
 }
 
 void
@@ -86,21 +68,11 @@ L2Cache::audit() const
                   "sharer bit outside the VD's local L1s");
         NVO_AUDIT(!line.sealed() || line.dirty,
                   "sealed but clean L2 line");
-        NVO_AUDIT(line.state != CohState::M || inWalkSet(line),
+        NVO_AUDIT(line.state != CohState::M || arr.marked(line),
                   "L2 line in M outside the walk set");
     });
     NVO_AUDIT(validSlots == arr.numValid(),
               "running L2 valid count disagrees with the array");
-}
-
-std::vector<unsigned>
-L2Cache::sharerList(const CacheLine &line) const
-{
-    std::vector<unsigned> out;
-    for (unsigned i = 0; i < localCores; ++i)
-        if (hasSharer(line, i))
-            out.push_back(i);
-    return out;
 }
 
 } // namespace nvo

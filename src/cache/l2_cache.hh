@@ -3,17 +3,13 @@
  * Per-VD shared, inclusive L2 cache. Besides the tag/data array it
  * carries the intra-VD directory (each line's `sharers` field is a
  * bitmask of the local L1s holding a copy) and the tag walk's walk set
- * (one bit per slot, set when the slot's line enters M).
+ * (the array's marked slots: a slot is marked when its line enters M).
  */
 
 #ifndef NVO_CACHE_L2_CACHE_HH
 #define NVO_CACHE_L2_CACHE_HH
 
-#include <bit>
-#include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "cache/cache_array.hh"
 #include "common/types.hh"
@@ -46,9 +42,6 @@ class L2Cache
     static void removeSharer(CacheLine &line, unsigned local_idx);
     static bool hasSharer(const CacheLine &line, unsigned local_idx);
 
-    /** Local L1 indices currently sharing @p line. */
-    std::vector<unsigned> sharerList(const CacheLine &line) const;
-
     /**
      * Put @p line in M and add its slot to the walk set. Every
      * transition of an L2 line into M goes through here: only a line
@@ -66,18 +59,13 @@ class L2Cache
     void
     forEachModified(Fn &&fn)
     {
-        CacheLine *slots = arr.setBase(0);
-        for (std::size_t w = 0; w < walkSet.size(); ++w) {
-            for (std::uint64_t bits = std::exchange(walkSet[w], 0);
-                 bits != 0; bits &= bits - 1) {
-                CacheLine &line = slots[w * 64 + std::countr_zero(bits)];
-                if (line.state != CohState::M)
-                    continue;   // left M since it was marked
-                fn(line);
-                if (line.state == CohState::M)
-                    setModified(line);
-            }
-        }
+        arr.forEachMarked([&](CacheLine &line) {
+            if (line.state != CohState::M)
+                return;   // left M since it was marked
+            fn(line);
+            if (line.state == CohState::M)
+                arr.mark(line);
+        });
     }
 
     /** Count a fill into a previously invalid slot. */
@@ -99,15 +87,11 @@ class L2Cache
     void audit() const;
 
   private:
-    std::size_t slotOf(const CacheLine &line) const;
-    bool inWalkSet(const CacheLine &line) const;
-
     CacheArray arr;
     Cycle lat;
     unsigned vd;
     unsigned localCores;
     unsigned validSlots = 0;
-    std::vector<std::uint64_t> walkSet;
 };
 
 } // namespace nvo

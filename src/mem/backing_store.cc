@@ -55,17 +55,6 @@ BackingStore::writeLine(Addr line_addr, const LineData &in)
 }
 
 void
-BackingStore::applyPatch(Addr addr, const void *data, unsigned size)
-{
-    nvo_assert(size > 0 && size <= lineBytes);
-    nvo_assert(lineAlign(addr) == lineAlign(addr + size - 1),
-               "patch crosses a line boundary");
-    Page &page = getPage(pageAlign(addr));
-    unsigned off = static_cast<unsigned>(addr & (pageBytes - 1));
-    std::memcpy(page.bytes.data() + off, data, size);
-}
-
-void
 BackingStore::setOidGranularity(unsigned lines_per_tag)
 {
     nvo_assert(isPow2(lines_per_tag) &&
@@ -96,7 +85,26 @@ BackingStore::lineSeq(Addr line_addr) const
 void
 BackingStore::setLineMeta(Addr line_addr, EpochWide oid, SeqNo seq)
 {
-    Page &page = getPage(pageAlign(line_addr));
+    setMeta(getPage(pageAlign(line_addr)), line_addr, oid, seq);
+}
+
+void
+BackingStore::commitStore(Addr addr, const void *data, unsigned size,
+                          EpochWide oid, SeqNo seq)
+{
+    nvo_assert(size > 0 && size <= lineBytes);
+    nvo_assert(lineAlign(addr) == lineAlign(addr + size - 1),
+               "store crosses a line boundary");
+    Page &page = getPage(pageAlign(addr));
+    unsigned off = static_cast<unsigned>(addr & (pageBytes - 1));
+    std::memcpy(page.bytes.data() + off, data, size);
+    setMeta(page, lineAlign(addr), oid, seq);
+}
+
+void
+BackingStore::setMeta(Page &page, Addr line_addr, EpochWide oid,
+                      SeqNo seq)
+{
     unsigned li = lineInPage(line_addr);
     page.meta[li].seq = seq;
     // Shared super-block tag: only moved forward (Sec. V-F).

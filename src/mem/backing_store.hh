@@ -59,17 +59,19 @@ class BackingStore
     /** Overwrite one full line. */
     void writeLine(Addr line_addr, const LineData &in);
 
-    /**
-     * Apply a partial store of @p size bytes at byte address @p addr.
-     * The store must not cross a line boundary.
-     */
-    void applyPatch(Addr addr, const void *data, unsigned size);
-
     /** Per-line OID tag (epoch of last write), as kept in DRAM ECC. */
     EpochWide lineOid(Addr line_addr) const;
     /** Seqno of the last committed store to the line (verification). */
     SeqNo lineSeq(Addr line_addr) const;
     void setLineMeta(Addr line_addr, EpochWide oid, SeqNo seq);
+
+    /**
+     * Commit a store of @p size bytes at byte address @p addr, which
+     * must not cross a line boundary, and set its line's metadata as
+     * setLineMeta does: one page lookup for both.
+     */
+    void commitStore(Addr addr, const void *data, unsigned size,
+                     EpochWide oid, SeqNo seq);
 
     /** Number of materialized pages (footprint check). */
     std::size_t numPages() const { return pages.size(); }
@@ -95,6 +97,7 @@ class BackingStore
 
     Page *findPage(Addr page_addr) const;
     Page &getPage(Addr page_addr);
+    void setMeta(Page &page, Addr line_addr, EpochWide oid, SeqNo seq);
 
     unsigned oidGran = 1;
     std::unordered_map<Addr, std::unique_ptr<Page>> pages;

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <unordered_set>
+#include <vector>
 
 #include "cache/cache_array.hh"
 #include "common/rng.hh"
@@ -132,6 +134,152 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_pair(4u, 1u), std::make_pair(4u, 4u),
                       std::make_pair(32u, 8u),
                       std::make_pair(256u, 16u)));
+
+/**
+ * Reference model of slot choice and replacement, written out so any
+ * drift in CacheArray's victim choice shows here (every committed
+ * BENCH_*.json depends on it). Each way holds an address or nothing
+ * and a stamp from the model's own clock. The victim for a fill is
+ * the first invalid way of the set, else the first way with the
+ * smallest stamp. install() and a lookup hit stamp the way MRU; a
+ * probe and a lookup miss leave every stamp alone.
+ */
+class LruModel
+{
+  public:
+    LruModel(unsigned sets, unsigned ways)
+        : sets(sets), ways(ways),
+          slotAddr(static_cast<std::size_t>(sets) * ways, invalidAddr),
+          stamp(static_cast<std::size_t>(sets) * ways, 0)
+    {
+    }
+
+    /** Slot holding @p a, or -1. */
+    long
+    find(Addr a) const
+    {
+        const std::size_t base = setBase(a);
+        for (unsigned w = 0; w < ways; ++w)
+            if (slotAddr[base + w] == a)
+                return static_cast<long>(base + w);
+        return -1;
+    }
+
+    long
+    lookup(Addr a)
+    {
+        const long slot = find(a);
+        if (slot >= 0)
+            stamp[static_cast<std::size_t>(slot)] = ++clock;
+        return slot;
+    }
+
+    long
+    victim(Addr a) const
+    {
+        const std::size_t base = setBase(a);
+        for (unsigned w = 0; w < ways; ++w)
+            if (slotAddr[base + w] == invalidAddr)
+                return static_cast<long>(base + w);
+        std::size_t best = base;
+        for (unsigned w = 1; w < ways; ++w)
+            if (stamp[base + w] < stamp[best])
+                best = base + w;
+        return static_cast<long>(best);
+    }
+
+    void
+    install(long slot, Addr a)
+    {
+        slotAddr[static_cast<std::size_t>(slot)] = a;
+        stamp[static_cast<std::size_t>(slot)] = ++clock;
+    }
+
+    void
+    invalidate(long slot)
+    {
+        slotAddr[static_cast<std::size_t>(slot)] = invalidAddr;
+    }
+
+  private:
+    std::size_t
+    setBase(Addr a) const
+    {
+        return static_cast<std::size_t>((a >> lineBytesLog2) &
+                                        (sets - 1)) *
+               ways;
+    }
+
+    unsigned sets, ways;
+    std::vector<Addr> slotAddr;
+    std::vector<std::uint64_t> stamp;
+    std::uint64_t clock = 0;
+};
+
+/** Random allocSlot/install/lookup/probe/invalidate sequences on
+ *  small arrays of (sets, ways): every slot CacheArray returns is the
+ *  model's. */
+class CacheArrayLru
+    : public ::testing::TestWithParam<std::pair<unsigned, unsigned>>
+{
+};
+
+TEST_P(CacheArrayLru, SlotChoiceMatchesLruModel)
+{
+    auto [sets, ways] = GetParam();
+    CacheArray arr(static_cast<std::uint64_t>(sets) * ways * lineBytes,
+                   ways);
+    ASSERT_EQ(arr.numSets(), sets);
+    LruModel model(sets, ways);
+    CacheLine *const slots = arr.setBase(0);
+    auto index = [slots](const CacheLine *line) {
+        return line ? static_cast<long>(line - slots) : -1L;
+    };
+    // Three lines per slot: sets fill, hit and evict in turn.
+    const std::uint64_t pool = 3ull * sets * ways;
+    Rng rng(sets * 977 + ways);
+    unsigned fills = 0, evictions = 0, hits = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const Addr a = rng.below(pool) * lineBytes;
+        const std::uint64_t op = rng.below(10);
+        if (op < 3) {
+            const long want = model.lookup(a);
+            ASSERT_EQ(index(arr.lookup(a)), want) << "lookup, op " << i;
+            hits += want >= 0;
+        } else if (op < 5) {
+            ASSERT_EQ(index(arr.probe(a)), model.find(a))
+                << "probe, op " << i;
+        } else if (op < 9) {
+            if (model.find(a) >= 0)
+                continue;   // allocSlot requires an absent address
+            CacheLine *slot = arr.allocSlot(a);
+            const long want = model.victim(a);
+            ASSERT_EQ(index(slot), want) << "allocSlot, op " << i;
+            evictions += slot->valid();
+            arr.install(slot, a);
+            EXPECT_EQ(slot->addr, a);
+            EXPECT_EQ(slot->state, CohState::I) << "install resets";
+            slot->state = CohState::S;
+            model.install(want, a);
+            ++fills;
+        } else {
+            const long at = model.find(a);
+            if (at < 0)
+                continue;
+            arr.invalidate(arr.probe(a));
+            model.invalidate(at);
+        }
+    }
+    EXPECT_GT(fills, 1000u);
+    EXPECT_GT(hits, 1000u);
+    EXPECT_GT(evictions, 500u) << "sets filled and evicted";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SetsWays, CacheArrayLru,
+    ::testing::Values(std::make_pair(1u, 4u), std::make_pair(8u, 1u),
+                      std::make_pair(4u, 2u), std::make_pair(2u, 8u),
+                      std::make_pair(16u, 16u)));
 
 } // namespace
 } // namespace nvo

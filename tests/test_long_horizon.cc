@@ -203,11 +203,12 @@ tableTwoHifreqConfig(std::uint64_t l2_kb)
  *  allocates every cache slot, so it scales with capacity by design);
  *  reports the epochs the run completed through @p epochs. */
 double
-bestRunCpuSeconds(const Config &cfg, int reps, std::uint64_t &epochs)
+bestRunCpuSeconds(const Config &cfg, int reps, std::uint64_t &epochs,
+                  const char *scheme = "nvoverlay")
 {
     double best = 0;
     for (int r = 0; r < reps; ++r) {
-        System sys(cfg, "nvoverlay", "hashtable");
+        System sys(cfg, scheme, "hashtable");
         const std::clock_t start = std::clock();
         sys.run();
         const double cpu =
@@ -238,6 +239,45 @@ TEST(LongHorizon, WalkCostIndependentOfL2Capacity)
     EXPECT_LE(big, 1.5 * small)
         << "run() took " << small << " s of CPU with a 256 KB L2 and "
         << big << " s with a 4096 KB L2";
+}
+
+/** PiCL on hashtable with a global epoch every 1000 stores; @p
+ *  tag_bytes sets its tag array (default 32 MB). The table has 1024
+ *  buckets: with the default 262,144 the run touches so many tag sets
+ *  that the 32 MB array ran 1.16x slower than the 4 MB one even with
+ *  the walker off, a host memory cost that is not the walk's. */
+Config
+piclHifreqConfig(std::uint64_t tag_bytes)
+{
+    Config cfg = defaultConfig();
+    cfg.set("wl.ops", std::uint64_t(1000));
+    cfg.set("wl.hashtable.buckets", std::uint64_t(1024));
+    cfg.set("wl.hashtable.prefill", std::uint64_t(1024));
+    cfg.set("epoch.stores_global", std::uint64_t(1000));
+    cfg.set("picl.tag_bytes", tag_bytes);
+    return cfg;
+}
+
+TEST(LongHorizon, PiclWalkCostIndependentOfTagCapacity)
+{
+    // Full audit sweeps scan every tag slot by design.
+    if (audit::enabled)
+        GTEST_SKIP() << "audit sweeps scale with tag capacity";
+    setQuiet(true);
+    // PiCL's tag walk runs at every global epoch. Its host cost must
+    // follow the lines the epoch dirtied, not the tag array's slot
+    // count, so 8x the tags must leave the run's CPU time nearly flat.
+    std::uint64_t small_epochs = 0, big_epochs = 0;
+    const double small = bestRunCpuSeconds(
+        piclHifreqConfig(4ull << 20), 3, small_epochs, "picl");
+    const double big = bestRunCpuSeconds(
+        piclHifreqConfig(32ull << 20), 3, big_epochs, "picl");
+    ASSERT_EQ(big_epochs, small_epochs)
+        << "both runs must do the same epoch work";
+    ASSERT_GT(small_epochs, 50u) << "the walk must run often";
+    EXPECT_LE(big, 1.5 * small)
+        << small_epochs << " epochs: run() took " << small
+        << " s of CPU with 4 MB of tags and " << big << " s with 32 MB";
 }
 
 TEST(LongHorizon, EpochsCrossTheGroupBoundary)

@@ -41,13 +41,16 @@ TEST(BackingStore, PatchWithinLine)
 {
     BackingStore bs;
     std::uint64_t v = 0xdeadbeefcafef00dull;
-    bs.applyPatch(0x1008, &v, 8);
+    bs.commitStore(0x1008, &v, 8, 3, 7);
     LineData out;
     bs.readLine(0x1000, out);
     std::uint64_t got;
     std::memcpy(&got, out.bytes.data() + 8, 8);
     EXPECT_EQ(got, v);
     EXPECT_EQ(out.bytes[0], 0);
+    // The store's line carries its metadata.
+    EXPECT_EQ(bs.lineOid(0x1000), 3u);
+    EXPECT_EQ(bs.lineSeq(0x1000), 7u);
 }
 
 TEST(BackingStore, LineMetaRoundTrip)

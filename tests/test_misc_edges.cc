@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 
 #include "cache/hierarchy.hh"
 #include "common/log.hh"
+#include "common/rng.hh"
 #include "harness/experiment.hh"
 #include "harness/system.hh"
 #include "mem/dram_model.hh"
@@ -166,6 +168,50 @@ TEST(DirectoryEdge, EvictionReleasesPresence)
     }
     EXPECT_LE(resident, 16u) << "at most the L2 capacity stays listed";
     EXPECT_EQ(hier.checkInvariants(), "");
+}
+
+/**
+ * The slice's flat directory table against std::map under random
+ * creates and erases: keys come in runs of consecutive lines (the
+ * probe-cluster case) and the table grows from its small start to
+ * thousands of entries, so backward-shift deletion is exercised
+ * across wrap-around and resizes.
+ */
+TEST(DirectoryEdge, FlatTableMatchesAMap)
+{
+    LlcSlice::Params sp;
+    sp.sliceBytes = 16 * 1024;
+    LlcSlice sl(sp);
+    std::map<Addr, std::uint32_t> model;
+    Rng rng(11);
+    std::uint64_t erased = 0;
+    for (int i = 0; i < 200000; ++i) {
+        // Runs of 64 consecutive lines in a handful of regions.
+        const Addr a = (rng.below(8) << 24) + rng.below(6000) * lineBytes;
+        if (rng.chance(0.55)) {
+            DirEntry &e = sl.dir(a);
+            auto it = model.find(a);
+            ASSERT_EQ(e.sharerVds, it == model.end() ? 0u : it->second)
+                << "op " << i;
+            if (it == model.end()) {
+                ASSERT_EQ(e.ownerVd, -1) << "fresh entry, op " << i;
+            }
+            e.sharerVds = 1u + static_cast<std::uint32_t>(rng.below(255));
+            model[a] = e.sharerVds;
+        } else if (model.count(a)) {
+            sl.dirErase(a);
+            model.erase(a);
+            ++erased;
+        }
+        const DirEntry *probe = sl.dirProbe(a);
+        ASSERT_EQ(probe != nullptr, model.count(a) == 1) << "op " << i;
+    }
+    std::map<Addr, std::uint32_t> seen;
+    sl.forEachDir([&](Addr a, const DirEntry &e) { seen[a] = e.sharerVds; });
+    EXPECT_EQ(seen, model);
+    EXPECT_GT(model.size(), 10000u) << "the table grew";
+    EXPECT_GT(erased, 30000u);
+    sl.audit();
 }
 
 TEST(LlcEdge, DirtyVictimsReachDram)

@@ -396,6 +396,141 @@ TEST_P(VersionProtocolProperty, RandomTrafficCorrectness)
     EXPECT_GT(newest.size(), 100u) << "test exercised real traffic";
 }
 
+/**
+ * Directory exactness through public accessors, over @p lines lines
+ * from @p base spaced @p stride apart: a line has a directory entry
+ * exactly when some L2 holds it, the entry's sharer VDs are exactly
+ * those L2s, and an owner holds the line in E or M. Returns the first
+ * violation, or "".
+ */
+std::string
+directoryMismatch(const Hierarchy &hier, Addr base, unsigned lines,
+                  Addr stride)
+{
+    for (unsigned k = 0; k < lines; ++k) {
+        const Addr a = base + k * stride;
+        std::uint32_t holders = 0;
+        for (unsigned vd = 0; vd < hier.numVds(); ++vd)
+            if (hier.l2Line(vd, a))
+                holders |= 1u << vd;
+        const DirEntry *e = hier.dirEntry(a);
+        const std::string at = "line " + std::to_string(a) + ": ";
+        if (!e) {
+            if (holders != 0)
+                return at + "held by an L2 but not in the directory";
+            continue;
+        }
+        if (holders == 0)
+            return at + "in the directory but held by no L2";
+        if (e->sharerVds != holders)
+            return at + "sharers " + std::to_string(e->sharerVds) +
+                   " but L2 holders " + std::to_string(holders);
+        if (e->ownerVd >= 0) {
+            const CacheLine *l2 =
+                hier.l2Line(static_cast<unsigned>(e->ownerVd), a);
+            if (!l2 || !writable(l2->state))
+                return at + "owner does not hold the line in E or M";
+        }
+    }
+    return "";
+}
+
+/**
+ * The directory lists exactly the L2-resident lines under random
+ * traffic with tag walks and epoch advances (the RandomTraffic rig),
+ * so its entries never outnumber the L2 slots: an entry leaves with
+ * its last sharer.
+ */
+TEST_P(VersionProtocolProperty, DirectoryListsExactlyTheL2ResidentLines)
+{
+    RunStats stats;
+    BackingStore backing;
+    DramModel dram(DramModel::Params{}, &stats);
+    MockCtrl ctrl(4);
+    Hierarchy::Params p;
+    p.numCores = 8;
+    p.coresPerVd = 2;
+    p.numLlcSlices = 2;
+    p.l1.sizeBytes = 2 * 1024;
+    p.l2.sizeBytes = 8 * 1024;
+    p.llc.sliceBytes = 32 * 1024;
+    Hierarchy hier(p, backing, dram, stats);
+    hier.setVersionCtrl(&ctrl);
+
+    constexpr Addr base = 0x200000;
+    constexpr unsigned footprint = 600;   // > the 4 x 128 L2 slots
+    Rng rng(GetParam() * 16127 + 3);
+    for (int i = 0; i < 30000; ++i) {
+        unsigned core = static_cast<unsigned>(rng.below(8));
+        unsigned vd = core / 2;
+        Addr a = base + rng.below(footprint) * lineBytes;
+        if (rng.chance(0.01))
+            ctrl.epochs[vd] += 1 + rng.below(3);
+        if (rng.chance(0.02)) {
+            unsigned wvd = static_cast<unsigned>(rng.below(4));
+            auto scan = hier.tagWalkScan(wvd);
+            for (const auto &v : scan.versions)
+                ctrl.acceptVersion(wvd, v.addr, v.oid, v.seq,
+                                   v.content, EvictReason::TagWalk, 0);
+        }
+        if (rng.chance(0.45))
+            hier.store(core, a, nullptr, 8, 0);
+        else
+            hier.load(core, a, 0);
+        if (i % 5000 == 4999) {
+            ASSERT_EQ(hier.checkInvariants(), "") << "op " << i;
+            ASSERT_EQ(directoryMismatch(hier, base, footprint, lineBytes),
+                      "")
+                << "op " << i;
+        }
+    }
+    EXPECT_GT(stats.l2Misses, 5000u) << "L2s evicted in earnest";
+    hier.flushAll(0);
+    EXPECT_EQ(hier.checkInvariants(), "");
+    EXPECT_EQ(directoryMismatch(hier, base, footprint, lineBytes), "");
+}
+
+/**
+ * Eviction storm: two VDs with 16-line L2s load and store 64 lines
+ * that all map to one L2 set. Every fill evicts, and every evicted
+ * line whose last sharer left must leave the directory.
+ */
+TEST(DirectoryExactness, EvictionStormLeavesNoStaleEntries)
+{
+    RunStats stats;
+    BackingStore backing;
+    DramModel dram(DramModel::Params{}, &stats);
+    Hierarchy::Params p;
+    p.numCores = 4;
+    p.coresPerVd = 2;
+    p.numLlcSlices = 1;
+    p.l1.sizeBytes = 512;   // 8 lines
+    p.l1.ways = 2;
+    p.l2.sizeBytes = 1024;  // 16 lines
+    p.l2.ways = 2;
+    p.llc.sliceBytes = 16 * 1024;
+    Hierarchy hier(p, backing, dram, stats);
+
+    constexpr Addr base = 0x100000;
+    constexpr unsigned lines = 64;
+    Rng rng(7);
+    for (int i = 0; i < 4000; ++i) {
+        const unsigned core = static_cast<unsigned>(rng.below(4));
+        const Addr a = base + rng.below(lines) * 4096;
+        if (rng.chance(0.5))
+            hier.store(core, a, nullptr, 8, 0);
+        else
+            hier.load(core, a, 0);
+    }
+    EXPECT_EQ(hier.checkInvariants(), "");
+    EXPECT_EQ(directoryMismatch(hier, base, lines, 4096), "");
+    unsigned listed = 0;
+    for (unsigned k = 0; k < lines; ++k)
+        listed += hier.dirEntry(base + k * 4096) != nullptr;
+    // The 64 lines share one set of each L2: two VDs x two ways.
+    EXPECT_LE(listed, 2u * p.l2.ways) << "at most the L2 slots stay listed";
+}
+
 /** One hierarchy with its own memory image and epoch controller. */
 struct WalkRig
 {
