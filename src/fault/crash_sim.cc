@@ -8,6 +8,7 @@
 #include "common/rng.hh"
 #include "fault/fault.hh"
 #include "harness/system.hh"
+#include "mem/persist_domain.hh"
 #include "mem/write_tracker.hh"
 #include "nvoverlay/nvoverlay_scheme.hh"
 #include "nvoverlay/recovery.hh"
@@ -19,6 +20,48 @@ namespace nvo
 namespace fault
 {
 
+CrashReport
+crashAndRecover(System &sys)
+{
+    auto *scheme = dynamic_cast<NVOverlayScheme *>(&sys.scheme());
+    nvo_assert(scheme != nullptr,
+               "crash recovery needs scheme=nvoverlay");
+    const WriteTracker *tracker = sys.tracker();
+    nvo_assert(tracker != nullptr,
+               "crash recovery checks need sim.track_writes");
+    MnmBackend &backend = scheme->backend();
+    backend.crashReset();
+
+    CrashReport report;
+    RecoveryManager rm(backend);
+    auto result = rm.recover();
+    report.recEpoch = result.recEpoch;
+    report.linesRestored = result.linesRestored;
+    report.error = RecoveryManager::validate(result, backend);
+
+    // Byte-exact shadow verification: every tracked line must carry
+    // the content of its last store at or before the recovered
+    // rec-epoch — unless, on an armed run, that store never reached
+    // the backend (the tolerated in-flight window, see file header).
+    const bool armed = sys.nvm().persist().armed();
+    for (Addr line : tracker->trackedLines()) {
+        auto expect = tracker->expectedEntry(line, result.recEpoch);
+        if (!expect)
+            continue;
+        LineData got;
+        result.image->readLine(line, got);
+        ++report.linesChecked;
+        if (got.digest() == expect->digest)
+            continue;
+        if (armed && backend.ackedEpoch(line) < expect->epoch) {
+            ++report.inflightSkips;
+            continue;
+        }
+        ++report.mismatches;
+    }
+    return report;
+}
+
 CrashSimulator::CrashSimulator(const Config &cfg, std::string scheme,
                                std::string workload)
     : cfg_(cfg), scheme_(std::move(scheme)),
@@ -29,7 +72,6 @@ CrashSimulator::CrashSimulator(const Config &cfg, std::string scheme,
 CrashReport
 CrashSimulator::run(const CrashPlan &plan)
 {
-    CrashReport report;
     Config cfg = cfg_;
     cfg.set("sim.track_writes", "true");
     cfg.set("persist.armed", "true");
@@ -40,10 +82,7 @@ CrashSimulator::run(const CrashPlan &plan)
         cfg.set("trace.enabled", "true");
     System sys(cfg, scheme_, workload_);
 
-    auto *scheme = dynamic_cast<NVOverlayScheme *>(&sys.scheme());
-    nvo_assert(scheme != nullptr,
-               "crash campaigns need scheme=nvoverlay");
-
+    CrashReport fired;
     if (!plan.point.empty()) {
         nvo_assert(enabled, "point-based crash plans need a build "
                             "with NVO_FAULT=ON");
@@ -56,47 +95,22 @@ CrashSimulator::run(const CrashPlan &plan)
             // verification checks the final image.
             sys.run();
         } catch (const CrashFault &crash) {
-            report.crashed = true;
-            report.firedPoint = crash.point;
-            report.firedHit = crash.hit;
+            fired.crashed = true;
+            fired.firedPoint = crash.point;
+            fired.firedHit = crash.hit;
         }
     } else {
         // Power cut at a planned cycle: stop mid-run, no finalize.
         sys.runUntil(plan.cycle);
-        report.crashed = true;
-        report.firedPoint = "cycle";
-        report.firedHit = plan.cycle;
+        fired.crashed = true;
+        fired.firedPoint = "cycle";
+        fired.firedHit = plan.cycle;
     }
 
-    MnmBackend &backend = scheme->backend();
-    backend.crashReset();
-
-    RecoveryManager rm(backend);
-    auto result = rm.recover();
-    report.recEpoch = result.recEpoch;
-    report.linesRestored = result.linesRestored;
-    report.error = RecoveryManager::validate(result, backend);
-
-    // Byte-exact shadow verification: every tracked line must carry
-    // the content of its last store at or before the recovered
-    // rec-epoch — unless that store never reached the backend (the
-    // tolerated in-flight window, see file header).
-    for (Addr line : sys.tracker()->trackedLines()) {
-        auto expect =
-            sys.tracker()->expectedEntry(line, result.recEpoch);
-        if (!expect)
-            continue;
-        LineData got;
-        result.image->readLine(line, got);
-        ++report.linesChecked;
-        if (got.digest() == expect->digest)
-            continue;
-        if (backend.ackedEpoch(line) < expect->epoch) {
-            ++report.inflightSkips;
-            continue;
-        }
-        ++report.mismatches;
-    }
+    CrashReport report = crashAndRecover(sys);
+    report.crashed = fired.crashed;
+    report.firedPoint = std::move(fired.firedPoint);
+    report.firedHit = fired.firedHit;
 
     // Flush after verification so crash, rebuild, and recovery
     // events all land in the exported trace.

@@ -2,18 +2,23 @@
  * @file
  * Crash-campaign driver (the proof layer for paper Sec. V-E).
  *
+ * crashAndRecover() is the one post-crash check: it power-fails the
+ * MNM backend (MnmBackend::crashReset: volatile state gone, modelled
+ * NVM truncated to its durable prefix, tables rebuilt from the
+ * sub-page headers), rebuilds the image via RecoveryManager, and
+ * verifies every tracked line byte-exactly against the shadow write
+ * tracker at the recovered rec-epoch.
+ *
  * A trial runs a full workload under an armed persist domain, crashes
  * it — either by a FaultPlan trigger at the Nth hit of a named fault
- * point, or by a power cut at a planned cycle — discards all volatile
- * state, truncates the modelled NVM to its durable prefix, rebuilds
- * via RecoveryManager, and verifies every tracked line byte-exactly
- * against the shadow write tracker at the recovered rec-epoch.
+ * point, or by a power cut at a planned cycle — and runs that check.
  *
  * Known tolerated window: a version the frontend committed but the
  * backend never finished processing (the late-merge race of Fig. 6
- * optimization 2) dies with the caches, so a mismatching line whose
- * defining store was never acked by the backend is counted as an
- * in-flight skip, not a failure (see docs/PERSISTENCE.md).
+ * optimization 2) dies with the caches, so on an armed run a
+ * mismatching line whose defining store was never acked by the
+ * backend is counted as an in-flight skip, not a failure (see
+ * docs/PERSISTENCE.md).
  *
  * runCrashCampaign() sweeps seeded pseudo-random crash plans across
  * workloads deterministically: a probe run per workload learns each
@@ -42,6 +47,9 @@
 
 namespace nvo
 {
+
+class System;
+
 namespace fault
 {
 
@@ -72,6 +80,17 @@ struct CrashReport
 
     bool consistent() const { return mismatches == 0 && error.empty(); }
 };
+
+/**
+ * Power-fail @p sys's NVOverlay backend where its run stands, recover
+ * and validate the image, and compare every line the write tracker
+ * (`sim.track_writes`) saw with its last store at or before the
+ * recovered rec-epoch. Mismatches count as in-flight skips only when
+ * the persist domain is armed, the only time the backend acks
+ * versions. Fills the recovery fields of the report; how the run was
+ * cut (crashed, firedPoint, firedHit) is the caller's to set.
+ */
+CrashReport crashAndRecover(System &sys);
 
 /**
  * Runs one workload per run() call and crash-tests recovery. The

@@ -273,13 +273,6 @@ NVOverlayScheme::finalize(Cycle now)
     return done;
 }
 
-void
-NVOverlayScheme::crashFlush(Cycle now)
-{
-    backend_->drainBuffers(now);
-    backend_->updateStats();
-}
-
 EpochWide
 NVOverlayScheme::globalEpoch() const
 {

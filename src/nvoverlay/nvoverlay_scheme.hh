@@ -75,9 +75,6 @@ class NVOverlayScheme : public Scheme, public VersionCtrl
     /** Force every VD to start a new epoch (watch-point snapshot). */
     Cycle advanceAll(Cycle now);
 
-    /** Simulated power failure: battery-flush the OMC buffers. */
-    void crashFlush(Cycle now);
-
     MnmBackend &backend() { return *backend_; }
     const MnmBackend &backend() const { return *backend_; }
 

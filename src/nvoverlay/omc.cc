@@ -605,13 +605,6 @@ MnmBackend::compact(Cycle now)
 }
 
 void
-MnmBackend::dropVolatileTables()
-{
-    for (auto &part : parts)
-        part.tables.clear();
-}
-
-void
 MnmBackend::rebuildTables()
 {
     for (auto &part : parts) {

@@ -129,7 +129,7 @@ class MnmBackend
     /** Current recoverable epoch (0 = nothing recoverable yet). */
     EpochWide recEpoch() const { return recEpoch_; }
 
-    /** Flush all buffered writes to the device (battery flush). */
+    /** Flush all buffered writes to the device (clean shutdown). */
     void drainBuffers(Cycle now);
 
     /** Stop buffering new versions (used around finalize). */
@@ -152,20 +152,13 @@ class MnmBackend
     void compact(Cycle now);
 
     /**
-     * Simulated crash support: drop everything volatile (the
-     * per-epoch DRAM tables), then rebuild them from the persistent,
-     * self-describing sub-page headers on NVM and re-derive the GC
-     * refcounts from the master table (paper Sec. V-E).
-     */
-    void dropVolatileTables();
-    void rebuildTables();
-
-    /**
-     * Simulated power failure: discard all volatile state (buffered
-     * pendings, per-epoch DRAM tables, unflushed metadata), truncate
-     * the persist domain's in-flight suffix back to the durable
-     * prefix, rewind rec-epoch to the last fenced value, and rebuild
-     * the tables from the surviving NVM image (paper Sec. V-E).
+     * Simulated power failure, the only one: discard all volatile
+     * state (buffered pendings, per-epoch DRAM tables, unflushed
+     * metadata), truncate the persist domain's in-flight suffix back
+     * to the durable prefix, rewind rec-epoch to the last fenced
+     * value, and rebuild the tables from the surviving NVM image
+     * (paper Sec. V-E). Disarmed, nothing is staged, so nothing
+     * durable is lost and only the tables' origin changes.
      */
     void crashReset();
 
@@ -245,6 +238,11 @@ class MnmBackend
     };
 
     EpochTable &getTable(Part &part, EpochWide e);
+
+    /** crashReset's second half: rebuild the per-epoch tables from
+     *  the persistent, self-describing sub-page headers and re-derive
+     *  the GC refcounts from the master table. */
+    void rebuildTables();
 
     /** Issue a 64 B version write to the device, attributed to the
      *  lifecycle cause that produced it and to the tenant whose

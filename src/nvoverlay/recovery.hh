@@ -4,12 +4,13 @@
  *
  * After a (simulated) crash, everything volatile is gone: caches,
  * DRAM, per-epoch tables. What survives on NVM: the master table,
- * rec-epoch, the overlay data pages with their self-describing
- * sub-page headers, and the battery-flushed OMC buffer contents.
+ * rec-epoch, and the overlay data pages with their self-describing
+ * sub-page headers (a buffered version's content already sits in its
+ * page). MnmBackend::crashReset rebuilds the per-epoch tables from
+ * those headers, so time travel keeps working after recovery;
  * RecoveryManager rebuilds the consistent memory image by scanning
  * the master table and loading every version into a fresh backing
- * store, and can additionally rebuild per-epoch tables from sub-page
- * headers so time travel keeps working after recovery.
+ * store.
  */
 
 #ifndef NVO_NVOVERLAY_RECOVERY_HH

@@ -37,7 +37,9 @@ TEST(CrashSim, PowerCutAtCycleRecoversConsistently)
 {
     Config cfg = smallConfig();
     fault::CrashSimulator sim(cfg, "nvoverlay", "btree");
-    for (Cycle cut : {200000ull, 600000ull, 1200000ull}) {
+    // 200 k lands before the first recoverable epoch: nothing to
+    // check. Every later cut recovers something and must check it.
+    for (Cycle cut : {200000ull, 1000000ull, 1200000ull, 1600000ull}) {
         fault::CrashPlan plan;
         plan.cycle = cut;
         fault::CrashReport rep = sim.run(plan);
@@ -45,6 +47,15 @@ TEST(CrashSim, PowerCutAtCycleRecoversConsistently)
         EXPECT_TRUE(rep.consistent())
             << "cut at " << cut << ": " << rep.mismatches
             << " mismatches, error '" << rep.error << "'";
+        if (cut == 200000) {
+            EXPECT_EQ(rep.recEpoch, 0u);
+            EXPECT_EQ(rep.linesChecked, 0u);
+        } else {
+            EXPECT_GT(rep.recEpoch, 0u) << "cut at " << cut;
+        }
+        if (rep.recEpoch > 0) {
+            EXPECT_GT(rep.linesChecked, 0u) << "cut at " << cut;
+        }
     }
 }
 

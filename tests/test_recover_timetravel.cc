@@ -56,7 +56,7 @@ checkTimeTravelAfterRecovery(Config cfg, const std::string &workload,
     else
         sys.runUntil(crash_at);
     auto &scheme = dynamic_cast<NVOverlayScheme &>(sys.scheme());
-    scheme.crashFlush(sys.now());
+    scheme.backend().crashReset();
 
     WriteTracker *tracker = sys.tracker();
     ASSERT_NE(tracker, nullptr);
@@ -139,7 +139,7 @@ TEST(TimeTravelAfterRecovery, RecoverTwiceIsIdempotent)
     System sys(cfg, "nvoverlay", "btree");
     sys.runUntil(800000);
     auto &scheme = dynamic_cast<NVOverlayScheme &>(sys.scheme());
-    scheme.crashFlush(sys.now());
+    scheme.backend().crashReset();
 
     RecoveryManager rm1(scheme.backend());
     auto first = rm1.recover();

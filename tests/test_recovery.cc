@@ -13,6 +13,7 @@
 #include <tuple>
 
 #include "common/log.hh"
+#include "fault/crash_sim.hh"
 #include "harness/experiment.hh"
 #include "harness/system.hh"
 #include "nvoverlay/nvoverlay_scheme.hh"
@@ -48,46 +49,25 @@ checkRecovery(Config cfg, const std::string &workload, Cycle crash_at)
 {
     setQuiet(true);
     System sys(cfg, "nvoverlay", workload);
-    bool completed;
-    if (crash_at == 0) {
+    if (crash_at == 0)
         sys.run();
-        completed = true;
-    } else {
-        completed = sys.runUntil(crash_at);
-    }
-    auto &scheme = dynamic_cast<NVOverlayScheme &>(sys.scheme());
-    scheme.crashFlush(sys.now());
+    else
+        sys.runUntil(crash_at);
 
     ASSERT_EQ(sys.hierarchy().checkInvariants(), "");
-    WriteTracker *tracker = sys.tracker();
-    ASSERT_NE(tracker, nullptr);
-    ASSERT_TRUE(tracker->epochsMonotonic());
+    ASSERT_TRUE(sys.tracker()->epochsMonotonic());
 
-    RecoveryManager rm(scheme.backend());
-    auto result = rm.recover();
-    EXPECT_EQ(RecoveryManager::validate(result, scheme.backend()), "");
-    if (completed && crash_at == 0) {
-        EXPECT_GT(result.recEpoch, 0u)
+    const fault::CrashReport rep = fault::crashAndRecover(sys);
+    EXPECT_EQ(rep.error, "");
+    if (crash_at == 0) {
+        EXPECT_GT(rep.recEpoch, 0u)
             << "clean finalize certifies every epoch";
     }
-
-    unsigned mismatches = 0;
-    unsigned checked = 0;
-    for (Addr line : tracker->trackedLines()) {
-        auto expect = tracker->expectedDigest(line, result.recEpoch);
-        if (!expect)
-            continue;
-        ++checked;
-        LineData got;
-        result.image->readLine(line, got);
-        if (got.digest() != *expect)
-            ++mismatches;
-    }
-    EXPECT_EQ(mismatches, 0u)
+    EXPECT_EQ(rep.mismatches, 0u)
         << workload << " crash@" << crash_at << " rec="
-        << result.recEpoch << " checked=" << checked;
-    if (result.recEpoch > 0) {
-        EXPECT_GT(checked, 0u);
+        << rep.recEpoch << " checked=" << rep.linesChecked;
+    if (rep.recEpoch > 0) {
+        EXPECT_GT(rep.linesChecked, 0u);
     }
 }
 

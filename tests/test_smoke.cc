@@ -7,10 +7,10 @@
 #include <gtest/gtest.h>
 
 #include "common/log.hh"
+#include "fault/crash_sim.hh"
 #include "harness/experiment.hh"
 #include "harness/system.hh"
 #include "nvoverlay/nvoverlay_scheme.hh"
-#include "nvoverlay/recovery.hh"
 
 namespace nvo
 {
@@ -57,30 +57,15 @@ TEST(Smoke, NVOverlayRunsAndRecovers)
 
     auto &scheme = dynamic_cast<NVOverlayScheme &>(sys.scheme());
     EXPECT_GT(scheme.backend().recEpoch(), 0u);
+    EXPECT_TRUE(sys.tracker()->epochsMonotonic());
 
-    RecoveryManager rm(scheme.backend());
-    auto result = rm.recover();
-    EXPECT_GT(result.linesRestored, 0u);
-    EXPECT_EQ(RecoveryManager::validate(result, scheme.backend()), "");
-
-    // The correctness theorem: every recovered line matches the last
-    // committed store with epoch <= rec-epoch.
-    WriteTracker *tracker = sys.tracker();
-    ASSERT_NE(tracker, nullptr);
-    EXPECT_TRUE(tracker->epochsMonotonic());
-    unsigned mismatches = 0;
-    for (Addr line : tracker->trackedLines()) {
-        auto expect =
-            tracker->expectedDigest(line, result.recEpoch);
-        if (!expect)
-            continue;
-        LineData got;
-        ASSERT_TRUE(result.image != nullptr);
-        result.image->readLine(line, got);
-        if (got.digest() != *expect)
-            ++mismatches;
-    }
-    EXPECT_EQ(mismatches, 0u);
+    // The correctness theorem: after a power failure every recovered
+    // line matches the last committed store with epoch <= rec-epoch.
+    const fault::CrashReport rep = fault::crashAndRecover(sys);
+    EXPECT_GT(rep.linesRestored, 0u);
+    EXPECT_EQ(rep.error, "");
+    EXPECT_GT(rep.linesChecked, 0u);
+    EXPECT_EQ(rep.mismatches, 0u);
 }
 
 TEST(Smoke, AllSchemesRunBTree)

@@ -174,8 +174,7 @@ TEST_F(TenantBackendTest, TenantRecoverySurvivesCrashRebuild)
     certify(4);
     // Crash: volatile per-epoch tables drop, then rebuild from the
     // persistent sub-page headers — tenant subtrees must reassemble.
-    backend->dropVolatileTables();
-    backend->rebuildTables();
+    backend->crashReset();
 
     RecoveryManager rm(*backend);
     for (tenant::Asid a = 1; a <= 3; ++a) {
@@ -328,7 +327,7 @@ TEST(TenantSystem, EveryTenantRecoversWhileOthersLive)
                "kv_service");
     sys.run();
     auto &scheme = dynamic_cast<NVOverlayScheme &>(sys.scheme());
-    scheme.crashFlush(sys.now());
+    scheme.backend().crashReset();
 
     RecoveryManager rm(scheme.backend());
     auto full = rm.recover();

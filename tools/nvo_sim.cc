@@ -8,7 +8,7 @@
  *
  *   nvo_sim scheme=nvoverlay workload=btree wl.ops=20000
  *   nvo_sim scheme=picl workload=kmeans epoch.stores_global=500000
- *   nvo_sim scheme=nvoverlay workload=vacation crash_at=2000000 verify=1
+ *   nvo_sim scheme=nvoverlay workload=vacation crash_at=10000000 verify=1
  *   nvo_sim scheme=nvoverlay workload=btree trace_out=trace.json \
  *           stats_json=stats.json
  *   nvo_sim crash_campaign=50 campaign.workloads=btree,kmeans rng.seed=7
@@ -29,7 +29,6 @@
 #include "harness/experiment.hh"
 #include "harness/system.hh"
 #include "nvoverlay/nvoverlay_scheme.hh"
-#include "nvoverlay/recovery.hh"
 #include "obs/stats_json.hh"
 #include "obs/trace.hh"
 #include "policy/engine.hh"
@@ -65,8 +64,12 @@ usage()
         "                     build with NVO_FAULT=ON)\n"
         "  crash_cycle=<c>    single power-cut trial at cycle c\n"
         "  record=<path>      capture the workload's trace and exit\n"
-        "  verify=1           track writes; after a crash, recover "
-        "and check the image\n"
+        "  verify=1           track writes; at the end of the run "
+        "(or at crash_at)\n"
+        "                     power-fail, recover and check every "
+        "line; exits 1\n"
+        "                     on a mismatch or when no line was "
+        "checked\n"
         "  trace_out=<path>   write the event trace as Chrome "
         "trace-event JSON\n"
         "                     (implies trace.enabled=1; open in "
@@ -83,6 +86,32 @@ usage()
         "  any other key=value becomes a Config override "
         "(see README)\n",
         paperWorkloads().front().c_str());
+}
+
+/**
+ * The one verdict line of a single crash trial or `verify=1` run;
+ * returns the exit code. A check that compared no line proves
+ * nothing, so it fails too.
+ */
+int
+printVerdict(const fault::CrashReport &rep)
+{
+    const char *verdict = !rep.consistent()      ? "INCONSISTENT"
+                          : rep.linesChecked == 0 ? "NOTHING RECOVERABLE"
+                                                  : "CONSISTENT";
+    std::printf("recovery check: %s at %s:%llu, rec-epoch=%llu, "
+                "%llu lines checked, %llu mismatches, %llu in-flight "
+                "skips%s%s -> %s\n",
+                rep.crashed ? "crashed" : "completed",
+                rep.firedPoint.empty() ? "-" : rep.firedPoint.c_str(),
+                static_cast<unsigned long long>(rep.firedHit),
+                static_cast<unsigned long long>(rep.recEpoch),
+                static_cast<unsigned long long>(rep.linesChecked),
+                static_cast<unsigned long long>(rep.mismatches),
+                static_cast<unsigned long long>(rep.inflightSkips),
+                rep.error.empty() ? "" : ", recovery error: ",
+                rep.error.c_str(), verdict);
+    return rep.consistent() && rep.linesChecked > 0 ? 0 : 1;
 }
 
 } // namespace
@@ -221,23 +250,7 @@ main(int argc, char **argv)
         plan.hit = crash_hit;
         plan.cycle = crash_cycle;
         fault::CrashSimulator sim(cfg, scheme, workload);
-        fault::CrashReport rep = sim.run(plan);
-        std::printf("crash trial: %s at %s:%llu, rec-epoch=%llu, "
-                    "%llu lines checked, %llu mismatches, %llu "
-                    "in-flight skips%s%s -> %s\n",
-                    rep.crashed ? "crashed" : "completed",
-                    rep.firedPoint.empty() ? "-"
-                                           : rep.firedPoint.c_str(),
-                    static_cast<unsigned long long>(rep.firedHit),
-                    static_cast<unsigned long long>(rep.recEpoch),
-                    static_cast<unsigned long long>(rep.linesChecked),
-                    static_cast<unsigned long long>(rep.mismatches),
-                    static_cast<unsigned long long>(
-                        rep.inflightSkips),
-                    rep.error.empty() ? "" : ", recovery error: ",
-                    rep.error.c_str(),
-                    rep.consistent() ? "CONSISTENT" : "INCONSISTENT");
-        return rep.consistent() ? 0 : 1;
+        return printVerdict(sim.run(plan));
     }
 
     auto host_t0 = std::chrono::steady_clock::now();
@@ -317,8 +330,6 @@ main(int argc, char **argv)
 
     if (auto *nvo_scheme =
             dynamic_cast<NVOverlayScheme *>(&sys.scheme())) {
-        if (crash_at > 0)
-            nvo_scheme->crashFlush(sys.now());
         nvo_scheme->backend().updateStats();
         std::printf(
             "nvoverlay: rec-epoch=%llu master-lines=%llu "
@@ -333,26 +344,13 @@ main(int argc, char **argv)
                 sys.stats().poolPagesInUse));
 
         if (verify) {
-            RecoveryManager rm(nvo_scheme->backend());
-            auto result = rm.recover();
-            unsigned mismatches = 0, checked = 0;
-            for (Addr line : sys.tracker()->trackedLines()) {
-                auto expect = sys.tracker()->expectedDigest(
-                    line, result.recEpoch);
-                if (!expect)
-                    continue;
-                LineData got;
-                result.image->readLine(line, got);
-                ++checked;
-                if (got.digest() != *expect)
-                    ++mismatches;
+            fault::CrashReport rep = fault::crashAndRecover(sys);
+            if (crash_at > 0) {
+                rep.crashed = true;
+                rep.firedPoint = "cycle";
+                rep.firedHit = crash_at;
             }
-            std::printf("recovery check: %u lines, %u mismatches "
-                        "-> %s\n",
-                        checked, mismatches,
-                        mismatches == 0 ? "CONSISTENT"
-                                        : "INCONSISTENT");
-            return mismatches == 0 ? 0 : 1;
+            return printVerdict(rep);
         }
     }
     return 0;
