@@ -12,8 +12,9 @@
  * created when a VD fetches the line and erased when its last sharer
  * VD lets the line go, so the slice never holds more entries than
  * there are L2 slots (Hierarchy::checkInvariants checks both
- * directions). The entries live in a flat open-addressing table keyed
- * by line address: a scrambling multiplicative hash, linear probing,
+ * directions). The entries live in a FlatLineMap
+ * (common/flat_line_map.hh): a flat open-addressing table keyed by
+ * line address, with a scrambling multiplicative hash, linear probing,
  * backward-shift deletion (no tombstones), and doubling at load 1/2
  * from a small start.
  */
@@ -21,11 +22,10 @@
 #ifndef NVO_CACHE_LLC_HH
 #define NVO_CACHE_LLC_HH
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "cache/cache_array.hh"
+#include "common/flat_line_map.hh"
 #include "common/types.hh"
 
 namespace nvo
@@ -66,23 +66,25 @@ class LlcSlice
      * owner} on first touch. The reference stays valid only until the
      * next dir() or dirErase() on this slice: either may move entries.
      */
-    DirEntry &dir(Addr line_addr);
+    DirEntry &dir(Addr line_addr) { return table[line_addr]; }
 
     /** Directory entry if it exists, else nullptr (same lifetime). */
-    DirEntry *dirProbe(Addr line_addr);
-    const DirEntry *dirProbe(Addr line_addr) const;
+    DirEntry *dirProbe(Addr line_addr) { return table.probe(line_addr); }
+    const DirEntry *
+    dirProbe(Addr line_addr) const
+    {
+        return table.probe(line_addr);
+    }
 
     /** Erase @p line_addr's entry, which must exist. */
-    void dirErase(Addr line_addr);
+    void dirErase(Addr line_addr) { table.erase(line_addr); }
 
     /** Visit every directory entry as (line address, entry). */
     template <typename Fn>
     void
     forEachDir(Fn &&fn) const
     {
-        for (const Slot &s : table)
-            if (s.addr != invalidAddr)
-                fn(s.addr, s.entry);
+        table.forEach(fn);
     }
 
     /**
@@ -95,26 +97,9 @@ class LlcSlice
     void audit() const;
 
   private:
-    struct Slot
-    {
-        Addr addr = invalidAddr;   ///< line address, or empty
-        DirEntry entry;
-    };
-
-    /** Home slot of @p line_addr in the current table. */
-    std::size_t home(Addr line_addr) const;
-
-    /** Slot holding @p line_addr, or the empty slot ending its run. */
-    std::size_t find(Addr line_addr) const;
-
-    /** Double the table and re-insert every entry. */
-    void grow();
-
     CacheArray arr;
     Cycle lat;
-    std::vector<Slot> table;
-    std::size_t count = 0;
-    unsigned shift;   ///< 64 - log2(table.size())
+    FlatLineMap<DirEntry> table;
 };
 
 } // namespace nvo

@@ -55,6 +55,18 @@ BackingStore::writeLine(Addr line_addr, const LineData &in)
 }
 
 void
+BackingStore::exchangeLine(Addr line_addr, const LineData &in,
+                           LineData &old)
+{
+    nvo_assert(lineAlign(line_addr) == line_addr);
+    Page &page = getPage(pageAlign(line_addr));
+    std::uint8_t *bytes =
+        page.bytes.data() + (line_addr & (pageBytes - 1));
+    std::memcpy(old.bytes.data(), bytes, lineBytes);
+    std::memcpy(bytes, in.bytes.data(), lineBytes);
+}
+
+void
 BackingStore::setOidGranularity(unsigned lines_per_tag)
 {
     nvo_assert(isPow2(lines_per_tag) &&
@@ -111,16 +123,6 @@ BackingStore::setMeta(Page &page, Addr line_addr, EpochWide oid,
     unsigned tag = li & ~(oidGran - 1);
     if (oid > page.meta[tag].oid || oidGran == 1)
         page.meta[tag].oid = oid;
-}
-
-std::vector<Addr>
-BackingStore::pageAddrs() const
-{
-    std::vector<Addr> out;
-    out.reserve(pages.size());
-    for (const auto &kv : pages)
-        out.push_back(kv.first);
-    return out;
 }
 
 void

@@ -17,7 +17,6 @@
 #include <cstring>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "common/bitutil.hh"
 #include "common/types.hh"
@@ -59,6 +58,10 @@ class BackingStore
     /** Overwrite one full line. */
     void writeLine(Addr line_addr, const LineData &in);
 
+    /** Overwrite one full line and return its previous content
+     *  through @p old: one page lookup for both. */
+    void exchangeLine(Addr line_addr, const LineData &in, LineData &old);
+
     /** Per-line OID tag (epoch of last write), as kept in DRAM ECC. */
     EpochWide lineOid(Addr line_addr) const;
     /** Seqno of the last committed store to the line (verification). */
@@ -75,9 +78,6 @@ class BackingStore
 
     /** Number of materialized pages (footprint check). */
     std::size_t numPages() const { return pages.size(); }
-
-    /** Addresses of all materialized pages (recovery comparison). */
-    std::vector<Addr> pageAddrs() const;
 
     /** Drop all content (simulated power loss of DRAM). */
     void clear();

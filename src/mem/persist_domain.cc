@@ -1,5 +1,7 @@
 #include "mem/persist_domain.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 #include "obs/trace.hh"
 
@@ -7,14 +9,17 @@ namespace nvo
 {
 
 void
-PersistDomain::stage(Kind kind, Undo undo)
+PersistDomain::Journal::attachTo(PersistDomain *to)
 {
-    if (!armed_)
-        return;
-    nvo_assert(undo, "persist: staged record needs an undo closure");
-    ++staged_;
-    ++stagedKind[static_cast<unsigned>(kind)];
-    queue.push_back({kind, std::move(undo)});
+    if (domain) {
+        auto &list = domain->journals;
+        auto it = std::find(list.begin(), list.end(), this);
+        nvo_assert(it != list.end(), "persist: detaching a stranger");
+        list.erase(it);
+    }
+    domain = to;
+    if (domain)
+        domain->journals.push_back(this);
 }
 
 void
@@ -22,25 +27,22 @@ PersistDomain::barrier()
 {
     if (!armed_)
         return;
-    NVO_TRACE_NOW(Fault, PersistBarrier, obs::trackNvm, queue.size(),
-                  0);
+    NVO_TRACE_NOW(Fault, PersistBarrier, obs::trackNvm, inFlight_, 0);
     ++barriers_;
-    durable_ += queue.size();
-    queue.clear();
+    durable_ += inFlight_;
+    inFlight_ = 0;
+    for (Journal *j : journals)
+        j->commit();
 }
 
 void
 PersistDomain::truncateToDurable()
 {
-    NVO_TRACE_NOW(Fault, PersistTruncate, obs::trackNvm, queue.size(),
-                  0);
-    truncated_ += queue.size();
-    // Newest first: each undo then sees the state exactly as it was
-    // just after its own mutation ran.
-    while (!queue.empty()) {
-        queue.back().undo();
-        queue.pop_back();
-    }
+    NVO_TRACE_NOW(Fault, PersistTruncate, obs::trackNvm, inFlight_, 0);
+    truncated_ += inFlight_;
+    inFlight_ = 0;
+    for (Journal *j : journals)
+        j->unwind();
 }
 
 } // namespace nvo

@@ -1,7 +1,5 @@
 #include "nvoverlay/epoch_table.hh"
 
-#include <utility>
-
 #include "common/audit.hh"
 #include "common/bitutil.hh"
 #include "common/log.hh"
@@ -116,10 +114,7 @@ EpochTable::grow(PageEntry &pe, const Sinks &sinks)
 
     PagePool::SubPageHeader hdr;
     if (pe.subPage != invalidAddr) {
-        // Read through the const overload: the mutable one stages a
-        // persist-domain undo, which the dropHeader below already
-        // covers.
-        if (const auto *old = std::as_const(pool).header(pe.subPage))
+        if (const auto *old = pool.header(pe.subPage))
             hdr = *old;
         pool.dropHeader(pe.subPage);
         pool.freeLines(pe.subPage, pe.capacity, asid);
@@ -158,10 +153,7 @@ EpochTable::insert(Addr line_addr, SeqNo seq, const LineData &content,
         pe->bitmap |= 1ull << li;
         pe->lineSlot[li] = static_cast<std::uint8_t>(slot);
         ++versions;
-        if (auto *hdr = pool.header(pe->subPage)) {
-            hdr->usedLines = pe->used;
-            hdr->slotLine[slot] = static_cast<std::uint8_t>(li);
-        }
+        pool.fillSlot(pe->subPage, slot, li);
     } else {
         // Same-epoch overwrite: the newest store wins in place. A
         // stale write (e.g., a walker draining content captured
@@ -302,8 +294,7 @@ EpochTable::audit() const
             slots_taken |= 1ull << slot;
         }
 
-        const PagePool::SubPageHeader *hdr =
-            std::as_const(pool).header(pe->subPage);
+        const PagePool::SubPageHeader *hdr = pool.header(pe->subPage);
         NVO_AUDIT(hdr != nullptr,
                   "live overlay page without a persistent header");
         if (!hdr)

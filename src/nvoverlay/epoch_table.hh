@@ -27,6 +27,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/fn_ref.hh"
 #include "common/types.hh"
 #include "mem/backing_store.hh"
 #include "nvoverlay/page_pool.hh"
@@ -50,16 +51,21 @@ class EpochTable
         unsigned growthFactor = 4;
     };
 
-    /** Sinks for the NVM traffic this table generates. */
+    /**
+     * Sinks for the NVM traffic this table generates: references to
+     * callables the caller keeps alive across the insert (an empty
+     * sink drops its traffic).
+     */
     struct Sinks
     {
         /** Version data written to NVM (absorbed by the OMC buffer
          *  when one is present). */
-        std::function<void(Addr nvm_addr, std::uint32_t bytes)> data;
-        /** Sub-page relocation copies (always hit the device). */
-        std::function<void(Addr nvm_addr, std::uint32_t bytes)> reloc;
+        FnRef<void(Addr nvm_addr, std::uint32_t bytes)> data;
+        /** Sub-page relocation copies (always hit the device; counted
+         *  as data when empty). */
+        FnRef<void(Addr nvm_addr, std::uint32_t bytes)> reloc;
         /** Persistent sub-page header metadata written to NVM. */
-        std::function<void(std::uint32_t bytes)> meta;
+        FnRef<void(std::uint32_t bytes)> meta;
     };
 
     /** Leaf descriptor for one overlay page. */

@@ -91,6 +91,10 @@ MasterTable::insert(tenant::Key key, Addr nvm_addr, EpochWide e)
         replaced = leaf->entry[li];
     else
         ++mapped;
+    if (journaling()) {
+        undoLog.push_back({line_addr, replaced.value_or(Entry{})});
+        staged(PersistDomain::Kind::Master);
+    }
     leaf->bitmap |= 1ull << li;
     leaf->entry[li] = Entry{nvm_addr, e};
     emitMeta(8);   // entry persist (48-bit addr + 16-bit epoch)
@@ -101,22 +105,43 @@ MasterTable::insert(tenant::Key key, Addr nvm_addr, EpochWide e)
 }
 
 void
+MasterTable::unwind()
+{
+    // Newest first: each before-image lands on the entry exactly as
+    // its insert left it. The inserts built every node on the way.
+    for (; !undoLog.empty(); undoLog.pop_back()) {
+        const Undo &rec = undoLog.back();
+        if (rec.old.nvmAddr == invalidAddr) {
+            erase(tenant::Key{rec.key});
+            continue;
+        }
+        LeafNode *leaf = leafOf(rec.key);
+        const unsigned li = idxAt(rec.key, 4);
+        nvo_assert(leaf && ((leaf->bitmap >> li) & 1ull),
+                   "master undo over an unmapped line");
+        leaf->entry[li] = rec.old;
+    }
+}
+
+MasterTable::LeafNode *
+MasterTable::leafOf(Addr line_addr) const
+{
+    const InnerNode *node = root;
+    for (unsigned level = 0; level < 3; ++level) {
+        const void *c = node->child[idxAt(line_addr, level)];
+        if (!c)
+            return nullptr;
+        node = static_cast<const InnerNode *>(c);
+    }
+    return static_cast<LeafNode *>(node->child[idxAt(line_addr, 3)]);
+}
+
+void
 MasterTable::erase(tenant::Key key)
 {
-    const Addr line_addr = key.addr;
-    InnerNode *node = root;
-    for (unsigned level = 0; level < 3; ++level) {
-        void *c = node->child[idxAt(line_addr, level)];
-        if (!c)
-            return;
-        node = static_cast<InnerNode *>(c);
-    }
-    void *lc = node->child[idxAt(line_addr, 3)];
-    if (!lc)
-        return;
-    auto *leaf = static_cast<LeafNode *>(lc);
-    unsigned li = idxAt(line_addr, 4);
-    if (!((leaf->bitmap >> li) & 1ull))
+    LeafNode *leaf = leafOf(key.addr);
+    const unsigned li = idxAt(key.addr, 4);
+    if (!leaf || !((leaf->bitmap >> li) & 1ull))
         return;
     leaf->bitmap &= ~(1ull << li);
     leaf->entry[li] = Entry{};
@@ -126,19 +151,9 @@ MasterTable::erase(tenant::Key key)
 const MasterTable::Entry *
 MasterTable::lookup(Addr line_addr) const
 {
-    const InnerNode *node = root;
-    for (unsigned level = 0; level < 3; ++level) {
-        const void *c = node->child[idxAt(line_addr, level)];
-        if (!c)
-            return nullptr;
-        node = static_cast<const InnerNode *>(c);
-    }
-    const void *lc = node->child[idxAt(line_addr, 3)];
-    if (!lc)
-        return nullptr;
-    const auto *leaf = static_cast<const LeafNode *>(lc);
-    unsigned li = idxAt(line_addr, 4);
-    if (!((leaf->bitmap >> li) & 1ull))
+    const LeafNode *leaf = leafOf(line_addr);
+    const unsigned li = idxAt(line_addr, 4);
+    if (!leaf || !((leaf->bitmap >> li) & 1ull))
         return nullptr;
     return &leaf->entry[li];
 }

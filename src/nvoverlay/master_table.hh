@@ -8,7 +8,9 @@
  * Every node is persisted on NVM; each entry update is one 8-byte
  * persistent write, reported through the metadata sink so the
  * experiments can account mapping-table write traffic (Fig. 12) and
- * table storage (Fig. 13).
+ * table storage (Fig. 13). While an armed persist domain is attached,
+ * every insert journals the entry it replaced (or its absence), so a
+ * crash can unwind the unfenced inserts.
  */
 
 #ifndef NVO_NVOVERLAY_MASTER_TABLE_HH
@@ -16,10 +18,12 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <optional>
 
 #include "common/types.hh"
+#include "mem/persist_domain.hh"
 #include "tenant/asid.hh"
 
 namespace nvo
@@ -30,7 +34,7 @@ namespace obs
 struct HistMetric;
 } // namespace obs
 
-class MasterTable
+class MasterTable : private PersistDomain::Journal
 {
   public:
     struct Entry
@@ -48,6 +52,10 @@ class MasterTable
     MasterTable(const MasterTable &) = delete;
     MasterTable &operator=(const MasterTable &) = delete;
 
+    /** Journal inserts into @p domain (which must outlive the table)
+     *  while it is armed. */
+    void attachPersist(PersistDomain *domain) { attachTo(domain); }
+
     /**
      * Map @p key (an ASID-tagged line address) to @p nvm_addr
      * (version of epoch @p e). The tenant's subtree is selected by
@@ -59,10 +67,10 @@ class MasterTable
                                 EpochWide e);
 
     /**
-     * Unmap @p key (crash-unwind helper for the persist domain).
-     * Radix nodes stay allocated and no metadata write is emitted:
-     * the undo restores modelled state, it is not protocol traffic.
-     * No-op when the line is not mapped.
+     * Unmap @p key (the crash unwind of an insert that mapped a fresh
+     * line). Radix nodes stay allocated and no metadata write is
+     * emitted: the undo restores modelled state, it is not protocol
+     * traffic. No-op when the line is not mapped.
      */
     void erase(tenant::Key key);
 
@@ -96,7 +104,21 @@ class MasterTable
         std::array<Entry, 64> entry{};
     };
 
+    /** An insert's before-image: the entry it replaced, or
+     *  nvmAddr == invalidAddr when the line was unmapped. */
+    struct Undo
+    {
+        Addr key = invalidAddr;
+        Entry old;
+    };
+
     static unsigned idxAt(Addr line_addr, unsigned level);
+
+    /** Leaf covering @p line_addr, or nullptr when none exists. */
+    LeafNode *leafOf(Addr line_addr) const;
+
+    void commit() override { undoLog.clear(); }
+    void unwind() override;
 
     void emitMeta(std::uint32_t bytes);
     void destroy(InnerNode *node, unsigned level);
@@ -112,6 +134,7 @@ class MasterTable
     InnerNode *root;
     std::uint64_t nodeBytes_;
     std::uint64_t mapped = 0;
+    std::deque<Undo> undoLog;
 };
 
 } // namespace nvo

@@ -38,6 +38,7 @@ MnmBackend::MnmBackend(const Params &params, NvmModel &nvm_model,
             [this, part](std::uint32_t bytes) {
                 part->pendingMetaBytes += bytes;
             });
+        parts[i].master->attachPersist(&nvm.persist());
         if (p.useBuffer)
             parts[i].buffer = std::make_unique<OmcBuffer>(p.buffer);
     }
@@ -138,22 +139,24 @@ MnmBackend::insertVersion(Addr line_addr, EpochWide oid, SeqNo seq,
 
     bool buffered = part.buffer && !bufferBypass;
 
-    EpochTable::Sinks sinks;
-    sinks.reloc = [&](Addr a, std::uint32_t) {
+    auto data = [&](Addr a, std::uint32_t) {
+        stall += deviceWrite(a, now, obs::causeOf(why), asid);
+    };
+    auto reloc = [&](Addr a, std::uint32_t) {
         stall += deviceWrite(a, now, obs::LedgerCause::SubpageReloc,
                              asid);
         stats.extra["subpage_reloc_bytes"] += lineBytes;
     };
-    sinks.meta = [&](std::uint32_t bytes) {
+    auto meta = [&](std::uint32_t bytes) {
         part.pendingMetaBytes += bytes;
     };
-    if (!buffered) {
-        sinks.data = [&](Addr a, std::uint32_t) {
-            stall += deviceWrite(a, now, obs::causeOf(why), asid);
-        };
-    }
+    EpochTable::Sinks sinks;
+    sinks.reloc = reloc;
+    sinks.meta = meta;
     // When buffered, the 64 B version write is deferred until the
     // buffer evicts the (addr, epoch) slot; sinks.data stays empty.
+    if (!buffered)
+        sinks.data = data;
 
     EpochTable &table = getTable(part, oid);
     // A version at or behind rec-epoch lands in an already-merged
@@ -261,8 +264,8 @@ MnmBackend::insertVersion(Addr line_addr, EpochWide oid, SeqNo seq,
 EpochWide
 MnmBackend::ackedEpoch(Addr line_addr) const
 {
-    auto it = acked.find(line_addr);
-    return it == acked.end() ? 0 : it->second;
+    const EpochWide *e = acked.probe(line_addr);
+    return e ? *e : 0;
 }
 
 std::optional<MasterTable::Entry>
@@ -270,29 +273,11 @@ MnmBackend::masterInsert(Part &part, Addr line_addr, Addr nvm_addr,
                          EpochWide e)
 {
     // masterInsert IS the sanctioned mutation point: every caller
-    // pairs it with the ledger insert/merge hook, and the staged
-    // undo lambdas replay state the ledger already accounted for.
+    // pairs it with the ledger insert/merge hook. The master journals
+    // the entry it replaced while the persist domain is armed; a
+    // crash unwind restores modelled state the ledger never saw.
     // The tenant::Key carries the ASID tag into the tree.
-    const tenant::Key key = tenant::keyOf(line_addr);
-    auto replaced = part.master->insert(key, nvm_addr, e);
-    PersistDomain &domain = nvm.persist();
-    if (domain.armed()) {
-        MasterTable *mt = part.master.get();
-        if (replaced) {
-            domain.stage(
-                PersistDomain::Kind::Master,
-                [mt, key, old = *replaced] {
-                    mt->insert(key, old.nvmAddr, old.epoch);
-                });
-        } else {
-            domain.stage(
-                PersistDomain::Kind::Master,
-                [mt, key] {
-                    mt->erase(key);
-                });
-        }
-    }
-    return replaced;
+    return part.master->insert(tenant::keyOf(line_addr), nvm_addr, e);
 }
 
 void
@@ -526,15 +511,17 @@ MnmBackend::compact(Cycle now)
             // the copy (and any relocation it triggers — same page,
             // same tenant) is attributed to its owner.
             tenant::Asid cur_asid = 0;
-            EpochTable::Sinks sinks;
-            sinks.data = [&](Addr a, std::uint32_t) {
+            auto data = [&](Addr a, std::uint32_t) {
                 deviceWrite(a, now, obs::LedgerCause::CompactionCopy,
                             cur_asid);
                 stats.gcBytesCopied += lineBytes;
             };
-            sinks.meta = [&](std::uint32_t bytes) {
+            auto meta = [&](std::uint32_t bytes) {
                 part.pendingMetaBytes += bytes;
             };
+            EpochTable::Sinks sinks;
+            sinks.data = data;
+            sinks.meta = meta;
             std::vector<Addr> moved;
             table.forEachVersion([&](Addr line_addr, Addr) {
                 const auto *entry = part.master->lookup(line_addr);
@@ -826,6 +813,7 @@ MnmBackend::audit() const
                 });
         }
     }
+    acked.audit();
 }
 
 const MasterTable &

@@ -17,9 +17,9 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_line_map.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/backing_store.hh"
@@ -203,7 +203,7 @@ class MnmBackend
      * sub-pages and never map past the recoverable epoch; buffered
      * pending writes still resolve through their epoch tables. Also
      * recurses into the per-part pool, master, table, and buffer
-     * audits.
+     * audits and the acked table's.
      */
     void audit() const;
 
@@ -257,7 +257,8 @@ class MnmBackend
     /** Merge all tables in (from, upto] into the master. */
     void mergeUpTo(EpochWide from, EpochWide upto, Cycle now);
 
-    /** Master insert that journals its undo in the persist domain. */
+    /** Master insert (journaled by the master while the persist
+     *  domain is armed). */
     std::optional<MasterTable::Entry>
     masterInsert(Part &part, Addr line_addr, Addr nvm_addr,
                  EpochWide e);
@@ -305,7 +306,7 @@ class MnmBackend
     /** Version counter driving the testDropMerge seeded bug. */
     std::uint64_t dropMergeTick = 0;
     /** Per-line newest acked version epoch (armed campaigns only). */
-    std::unordered_map<Addr, EpochWide> acked;
+    FlatLineMap<EpochWide> acked;
 };
 
 } // namespace nvo

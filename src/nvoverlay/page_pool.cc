@@ -6,7 +6,6 @@
 #include "common/bitutil.hh"
 #include "common/log.hh"
 #include "fault/fault.hh"
-#include "mem/persist_domain.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
 
@@ -21,6 +20,66 @@ PagePool::PagePool(Addr base_addr, std::uint64_t size_bytes)
     nvo_assert(pageAlign(base_addr) == base_addr);
     nvo_assert(numPages > 0, "pool needs at least one page");
     bitmap.resize((numPages + 63) / 64, 0);
+}
+
+void
+PagePool::stageAllocator(const AllocatorUndo &rec)
+{
+    allocatorUndo.push_back(rec);
+    staged(PersistDomain::Kind::PoolBitmap);
+}
+
+void
+PagePool::stageHeader(Addr sub_page, const SubPageHeader *old)
+{
+    if (old) {
+        headerUndo.push_back({sub_page, HeaderUndo::Op::Whole});
+        headerImages.push_back(*old);
+    } else {
+        headerUndo.push_back({sub_page, HeaderUndo::Op::Absent});
+    }
+    staged(PersistDomain::Kind::PoolHeader);
+}
+
+void
+PagePool::commit()
+{
+    lineUndo.clear();
+    headerUndo.clear();
+    headerImages.clear();
+    allocatorUndo.clear();
+}
+
+void
+PagePool::unwind()
+{
+    // Image lines, the header map and the allocator are disjoint
+    // state, so each stack unwinds on its own, newest record first:
+    // each undo then sees its part of the pool exactly as it was just
+    // after its own mutation ran.
+    for (; !lineUndo.empty(); lineUndo.pop_back())
+        image.writeLine(lineUndo.back().addr, lineUndo.back().old);
+    for (; !headerUndo.empty(); headerUndo.pop_back()) {
+        const HeaderUndo &rec = headerUndo.back();
+        switch (rec.op) {
+        case HeaderUndo::Op::Absent:
+            headers.erase(rec.subPage);
+            break;
+        case HeaderUndo::Op::Whole:
+            headers[rec.subPage] = headerImages.back();
+            headerImages.pop_back();
+            break;
+        case HeaderUndo::Op::Slot: {
+            SubPageHeader &hdr = headers.at(rec.subPage);
+            hdr.usedLines = rec.usedLines;
+            hdr.slotLine[rec.slot] = rec.slotLine;
+            break;
+        }
+        }
+    }
+    for (; !allocatorUndo.empty(); allocatorUndo.pop_back())
+        std::visit([this](const auto &rec) { undo(rec); },
+                   allocatorUndo.back());
 }
 
 unsigned
@@ -47,21 +106,24 @@ PagePool::allocPage()
         std::uint64_t page = idx * 64 + bit;
         if (page >= numPages)
             continue;
+        if (journaling())
+            stageAllocator(PageUndo{page, scanHint});
         bitmap[idx] |= 1ull << bit;
         scanHint = idx;
         ++usedPages;
         NVO_METRIC(record(hScan_, i + 1));
-        if (pd && pd->armed()) {
-            pd->stage(PersistDomain::Kind::PoolBitmap,
-                      [this, idx, bit] {
-                          bitmap[idx] &= ~(1ull << bit);
-                          --usedPages;
-                      });
-        }
         NVO_TRACE_NOW(Pool, PoolPages, obs::trackSim, usedPages, 0);
         return base + page * pageBytes;
     }
     return invalidAddr;
+}
+
+void
+PagePool::undo(const PageUndo &rec)
+{
+    bitmap[rec.page / 64] &= ~(1ull << (rec.page % 64));
+    --usedPages;
+    scanHint = rec.scanHint;
 }
 
 void
@@ -124,23 +186,28 @@ PagePool::allocLines(unsigned lines, tenant::Asid asid)
         static_cast<std::uint64_t>(rounded) * lineBytes;
     allocatedBytes += bytes;
     chargeAsid(asid, rounded);
-    if (pd && pd->armed()) {
-        // Reverse-order unwind guarantees the halves pushed above are
-        // still at the back of their lists when this undo runs.
-        pd->stage(PersistDomain::Kind::PoolBitmap,
-                  [this, block, order, src_order, from_free_list,
-                   bytes, asid, rounded] {
-                      for (unsigned o = order; o < src_order; ++o)
-                          freeLists[o].pop_back();
-                      if (from_free_list)
-                          freeLists[src_order].push_back(block);
-                      allocatedBytes -= bytes;
-                      chargeAsid(asid,
-                                 -static_cast<std::int64_t>(rounded));
-                  });
+    if (journaling()) {
+        stageAllocator(AllocUndo{block, asid,
+                                 static_cast<std::uint8_t>(order),
+                                 static_cast<std::uint8_t>(src_order),
+                                 from_free_list});
     }
     NVO_TRACE_NOW(Pool, PoolAlloc, obs::trackSim, block, rounded);
     return block;
+}
+
+void
+PagePool::undo(const AllocUndo &rec)
+{
+    // Reverse-order unwind guarantees the halves allocLines pushed
+    // are still at the back of their lists.
+    for (unsigned o = rec.order; o < rec.srcOrder; ++o)
+        freeLists[o].pop_back();
+    if (rec.fromFreeList)
+        freeLists[rec.srcOrder].push_back(rec.block);
+    const unsigned rounded = 1u << rec.order;
+    allocatedBytes -= static_cast<std::uint64_t>(rounded) * lineBytes;
+    chargeAsid(rec.asid, -static_cast<std::int64_t>(rounded));
 }
 
 void
@@ -154,17 +221,20 @@ PagePool::freeLines(Addr addr, unsigned lines, tenant::Asid asid)
         static_cast<std::uint64_t>(rounded) * lineBytes;
     allocatedBytes -= bytes;
     chargeAsid(asid, -static_cast<std::int64_t>(rounded));
-    if (pd && pd->armed()) {
-        pd->stage(PersistDomain::Kind::PoolBitmap,
-                  [this, order, bytes, asid, rounded] {
-                      freeLists[order].pop_back();
-                      allocatedBytes += bytes;
-                      chargeAsid(asid, rounded);
-                  });
-    }
+    if (journaling())
+        stageAllocator(FreeUndo{asid, static_cast<std::uint8_t>(order)});
     NVO_TRACE_NOW(Pool, PoolFree, obs::trackSim, addr, rounded);
     // Note: no buddy coalescing; version compaction is the mechanism
     // that reclaims fragmented pools (paper Sec. V-D).
+}
+
+void
+PagePool::undo(const FreeUndo &rec)
+{
+    freeLists[rec.order].pop_back();
+    const unsigned rounded = 1u << rec.order;
+    allocatedBytes += static_cast<std::uint64_t>(rounded) * lineBytes;
+    chargeAsid(rec.asid, rounded);
 }
 
 void
@@ -172,27 +242,28 @@ PagePool::extend(std::uint64_t pages)
 {
     numPages += pages;
     bitmap.resize((numPages + 63) / 64, 0);
-    if (pd && pd->armed()) {
-        pd->stage(PersistDomain::Kind::PoolBitmap, [this, pages] {
-            numPages -= pages;
-            bitmap.resize((numPages + 63) / 64, 0);
-        });
-    }
+    if (journaling())
+        stageAllocator(ExtendUndo{pages});
     NVO_TRACE_NOW(Pool, PoolExtend, obs::trackSim, pages, 0);
+}
+
+void
+PagePool::undo(const ExtendUndo &rec)
+{
+    numPages -= rec.pages;
+    bitmap.resize((numPages + 63) / 64, 0);
 }
 
 void
 PagePool::writeLine(Addr nvm_addr, const LineData &content)
 {
-    if (pd && pd->armed()) {
-        LineData old;
-        image.readLine(nvm_addr, old);
-        pd->stage(PersistDomain::Kind::PoolData,
-                  [this, nvm_addr, old] {
-                      image.writeLine(nvm_addr, old);
-                  });
+    if (!journaling()) {
+        image.writeLine(nvm_addr, content);
+        return;
     }
-    image.writeLine(nvm_addr, content);
+    lineUndo.push_back({nvm_addr, {}});
+    image.exchangeLine(nvm_addr, content, lineUndo.back().old);
+    staged(PersistDomain::Kind::PoolData);
 }
 
 void
@@ -204,21 +275,10 @@ PagePool::readLine(Addr nvm_addr, LineData &out) const
 void
 PagePool::setHeader(Addr sub_page, const SubPageHeader &hdr)
 {
-    if (pd && pd->armed()) {
-        auto it = headers.find(sub_page);
-        if (it == headers.end()) {
-            pd->stage(PersistDomain::Kind::PoolHeader,
-                      [this, sub_page] {
-                          headers.erase(sub_page);
-                      });
-        } else {
-            pd->stage(PersistDomain::Kind::PoolHeader,
-                      [this, sub_page, old = it->second] {
-                          headers[sub_page] = old;
-                      });
-        }
-    }
-    headers[sub_page] = hdr;
+    auto [it, fresh] = headers.try_emplace(sub_page);
+    if (journaling())
+        stageHeader(sub_page, fresh ? nullptr : &it->second);
+    it->second = hdr;
 }
 
 const PagePool::SubPageHeader *
@@ -228,37 +288,32 @@ PagePool::header(Addr sub_page) const
     return it == headers.end() ? nullptr : &it->second;
 }
 
-PagePool::SubPageHeader *
-PagePool::header(Addr sub_page)
+void
+PagePool::fillSlot(Addr sub_page, unsigned slot, unsigned line_in_page)
 {
     auto it = headers.find(sub_page);
     if (it == headers.end())
-        return nullptr;
-    // The caller may mutate fields in place; snapshot the whole
-    // header so a crash restores it (over-stages on read-only use,
-    // which only happens while a campaign has the domain armed).
-    if (pd && pd->armed()) {
-        pd->stage(PersistDomain::Kind::PoolHeader,
-                  [this, sub_page, old = it->second] {
-                      headers[sub_page] = old;
-                  });
+        return;
+    SubPageHeader &hdr = it->second;
+    if (journaling()) {
+        headerUndo.push_back({sub_page, HeaderUndo::Op::Slot,
+                              static_cast<std::uint8_t>(slot),
+                              hdr.usedLines, hdr.slotLine[slot]});
+        staged(PersistDomain::Kind::PoolHeader);
     }
-    return &it->second;
+    hdr.usedLines = static_cast<std::uint8_t>(slot + 1);
+    hdr.slotLine[slot] = static_cast<std::uint8_t>(line_in_page);
 }
 
 void
 PagePool::dropHeader(Addr sub_page)
 {
-    if (pd && pd->armed()) {
-        auto it = headers.find(sub_page);
-        if (it != headers.end()) {
-            pd->stage(PersistDomain::Kind::PoolHeader,
-                      [this, sub_page, old = it->second] {
-                          headers[sub_page] = old;
-                      });
-        }
-    }
-    headers.erase(sub_page);
+    auto it = headers.find(sub_page);
+    if (it == headers.end())
+        return;
+    if (journaling())
+        stageHeader(sub_page, &it->second);
+    headers.erase(it);
 }
 
 void

@@ -16,26 +16,27 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "common/types.hh"
 #include "mem/backing_store.hh"
+#include "mem/persist_domain.hh"
 #include "tenant/asid.hh"
 
 namespace nvo
 {
-
-class PersistDomain;
 
 namespace obs
 {
 struct HistMetric;
 } // namespace obs
 
-class PagePool
+class PagePool : private PersistDomain::Journal
 {
   public:
     /** Max sub-page order: 2^6 lines = one full page. */
@@ -58,9 +59,10 @@ class PagePool
      * Journal durable-state mutations (bitmap, image, headers) into
      * @p domain so a simulated crash can unwind the unfenced suffix.
      * Pool state *is* the modelled NVM content, so every mutator
-     * stages an undo record while the domain is armed.
+     * stages an undo record while the domain is armed. The domain
+     * must outlive the pool.
      */
-    void attachPersist(PersistDomain *domain) { pd = domain; }
+    void attachPersist(PersistDomain *domain) { attachTo(domain); }
 
     /**
      * Allocate a sub-page of at least @p lines lines (rounded up to a
@@ -85,11 +87,11 @@ class PagePool
     void setHeader(Addr sub_page, const SubPageHeader &header);
     const SubPageHeader *header(Addr sub_page) const;
     /**
-     * Mutable header access. Callers may update fields in place, so
-     * while the persist domain is armed this stages a whole-header
-     * undo snapshot before handing out the pointer.
+     * Slot @p slot of @p sub_page now holds line @p line_in_page: the
+     * header's fill becomes slot + 1. Journals only those two fields.
+     * No-op when the sub-page has no header.
      */
-    SubPageHeader *header(Addr sub_page);
+    void fillSlot(Addr sub_page, unsigned slot, unsigned line_in_page);
     void dropHeader(Addr sub_page);
 
     /** Visit all live sub-page headers (recovery rebuild). */
@@ -139,6 +141,72 @@ class PagePool
     void audit() const;
 
   private:
+    // --- Persist journal: one record per staged mutation, each
+    // holding the before-image its undo restores. A clear() at the
+    // fence frees all but one block of each deque. ---
+
+    /** Image line before a write. */
+    struct LineUndo
+    {
+        Addr addr = invalidAddr;
+        LineData old;
+    };
+
+    /** Header-map change. A Whole record's before-image is the
+     *  newest entry of headerImages. */
+    struct HeaderUndo
+    {
+        enum class Op : std::uint8_t
+        {
+            Absent,   ///< no header before: erase it
+            Whole,    ///< restore the whole before-image
+            Slot      ///< restore usedLines and one slotLine entry
+        };
+        Addr subPage = invalidAddr;
+        Op op = Op::Absent;
+        std::uint8_t slot = 0;
+        std::uint8_t usedLines = 0;
+        std::uint8_t slotLine = 0;
+    };
+
+    /** Allocator operations and the operands their undos need. They
+     *  share one stack: free-list pops depend on order. */
+    struct PageUndo
+    {
+        std::uint64_t page = 0;       ///< page index set in the bitmap
+        std::uint64_t scanHint = 0;   ///< hint before the scan
+    };
+    struct AllocUndo
+    {
+        Addr block = invalidAddr;
+        tenant::Asid asid = 0;
+        std::uint8_t order = 0;
+        std::uint8_t srcOrder = 0;    ///< order the block was split from
+        bool fromFreeList = false;    ///< else it came from a fresh page
+    };
+    struct FreeUndo
+    {
+        tenant::Asid asid = 0;
+        std::uint8_t order = 0;
+    };
+    struct ExtendUndo
+    {
+        std::uint64_t pages = 0;
+    };
+    using AllocatorUndo =
+        std::variant<PageUndo, AllocUndo, FreeUndo, ExtendUndo>;
+
+    /** Stage the header change at @p sub_page, whose current header
+     *  is @p old (nullptr when absent). */
+    void stageHeader(Addr sub_page, const SubPageHeader *old);
+    void stageAllocator(const AllocatorUndo &rec);
+    void undo(const PageUndo &rec);
+    void undo(const AllocUndo &rec);
+    void undo(const FreeUndo &rec);
+    void undo(const ExtendUndo &rec);
+    void commit() override;
+    void unwind() override;
+
     /** Take one fresh page from the bitmap. */
     Addr allocPage();
 
@@ -162,7 +230,10 @@ class PagePool
     std::array<std::vector<Addr>, maxOrder + 1> freeLists;
     BackingStore image;
     std::unordered_map<Addr, SubPageHeader> headers;
-    PersistDomain *pd = nullptr;
+    std::deque<LineUndo> lineUndo;
+    std::deque<HeaderUndo> headerUndo;
+    std::deque<SubPageHeader> headerImages;
+    std::deque<AllocatorUndo> allocatorUndo;
 };
 
 } // namespace nvo

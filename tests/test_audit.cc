@@ -190,9 +190,10 @@ TEST(AuditDeath, HeaderEpochCorruptionIsCaught)
     // Seeded corruption: the persistent header claims another epoch.
     // (The first insert lands in slot 0, so lookupNvm returns the
     // sub-page base the header is keyed by.)
-    PagePool::SubPageHeader *hdr = pool.header(sub);
-    ASSERT_NE(hdr, nullptr);
-    hdr->epoch = 99;
+    ASSERT_NE(pool.header(sub), nullptr);
+    PagePool::SubPageHeader hdr = *pool.header(sub);
+    hdr.epoch = 99;
+    pool.setHeader(sub, hdr);
     EXPECT_DEATH(table.audit(), "header epoch");
 }
 

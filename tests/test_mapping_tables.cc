@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <type_traits>
 
 #include "common/rng.hh"
 #include "nvoverlay/epoch_table.hh"
@@ -28,6 +29,24 @@ lineOf(std::uint8_t fill)
     return d;
 }
 
+/** A sink that totals the bytes handed to it. */
+struct ByteCounter
+{
+    std::uint64_t bytes = 0;
+
+    void operator()(Addr, std::uint32_t b) { bytes += b; }
+    void operator()(std::uint32_t b) { bytes += b; }
+};
+
+// A sink binds only a named callable: a temporary would die at the end
+// of the assignment and leave the sink pointing at nothing.
+static_assert(
+    std::is_assignable_v<decltype(EpochTable::Sinks::meta) &,
+                         ByteCounter &>);
+static_assert(
+    !std::is_assignable_v<decltype(EpochTable::Sinks::meta) &,
+                          ByteCounter &&>);
+
 class EpochTableTest : public ::testing::Test
 {
   protected:
@@ -37,17 +56,17 @@ class EpochTableTest : public ::testing::Test
         p.initLines = 4;
         p.growthFactor = 4;
         table = std::make_unique<EpochTable>(7, pool, p);
-        sinks.data = [this](Addr, std::uint32_t b) { dataBytes += b; };
-        sinks.reloc = [this](Addr, std::uint32_t b) {
-            relocBytes += b;
-        };
-        sinks.meta = [this](std::uint32_t b) { metaBytes += b; };
+        // The sinks refer to the counters, which live as long as the
+        // fixture.
+        sinks.data = data;
+        sinks.reloc = reloc;
+        sinks.meta = meta;
     }
 
     PagePool pool;
     std::unique_ptr<EpochTable> table;
+    ByteCounter data, reloc, meta;
     EpochTable::Sinks sinks;
-    std::uint64_t dataBytes = 0, relocBytes = 0, metaBytes = 0;
 };
 
 TEST_F(EpochTableTest, InsertLookupRoundTrip)
@@ -58,7 +77,7 @@ TEST_F(EpochTableTest, InsertLookupRoundTrip)
     EXPECT_EQ(out, lineOf(0xaa));
     EXPECT_FALSE(table->readVersion(0x1040, out));
     EXPECT_EQ(table->versionCount(), 1u);
-    EXPECT_EQ(dataBytes, 64u);
+    EXPECT_EQ(data.bytes, 64u);
 }
 
 TEST_F(EpochTableTest, SparsePageStartsSmall)
@@ -73,7 +92,7 @@ TEST_F(EpochTableTest, GrowthRelocatesCompactly)
     // Fill 5 lines of one page: 4-line sub-page grows to 16.
     for (unsigned i = 0; i < 5; ++i)
         table->insert(0x2000 + i * 64, i, lineOf(i + 1), sinks);
-    EXPECT_EQ(relocBytes, 4u * lineBytes) << "4 lines relocated";
+    EXPECT_EQ(reloc.bytes, 4u * lineBytes) << "4 lines relocated";
     EXPECT_EQ(pool.bytesAllocated(), 16u * lineBytes);
     for (unsigned i = 0; i < 5; ++i) {
         LineData out;
@@ -95,7 +114,7 @@ TEST_F(EpochTableTest, SameEpochOverwriteKeepsNewest)
     table->readVersion(0x1000, out);
     EXPECT_EQ(out, lineOf(2));
     EXPECT_EQ(table->versionCount(), 1u);
-    EXPECT_EQ(dataBytes, 3u * 64);
+    EXPECT_EQ(data.bytes, 3u * 64);
 }
 
 TEST_F(EpochTableTest, HeaderDescribesSubPage)
@@ -111,7 +130,7 @@ TEST_F(EpochTableTest, HeaderDescribesSubPage)
     EXPECT_EQ(hdr->usedLines, 2u);
     EXPECT_EQ(hdr->slotLine[0], lineInPage(0x3000));
     EXPECT_EQ(hdr->slotLine[1], lineInPage(0x3040));
-    EXPECT_GT(metaBytes, 0u);
+    EXPECT_GT(meta.bytes, 0u);
 }
 
 TEST_F(EpochTableTest, ForEachVersionVisitsAll)
