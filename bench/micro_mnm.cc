@@ -27,14 +27,12 @@ BM_EpochTableInsert(benchmark::State &state)
 {
     PagePool pool(poolBase, 1ull << 30);
     EpochTable table(1, pool, EpochTable::Params{});
-    EpochTable::Sinks sinks;
     LineData content;
     Rng rng(1);
     SeqNo seq = 0;
     for (auto _ : state) {
         Addr a = lineAlign(rng.below(1ull << 28));
-        benchmark::DoNotOptimize(
-            table.insert(a, ++seq, content, sinks));
+        benchmark::DoNotOptimize(table.insert(a, ++seq, content));
     }
     state.SetItemsProcessed(state.iterations());
 }
@@ -45,12 +43,10 @@ BM_EpochTableLookup(benchmark::State &state)
 {
     PagePool pool(poolBase, 1ull << 30);
     EpochTable table(1, pool, EpochTable::Params{});
-    EpochTable::Sinks sinks;
     LineData content;
     Rng fill(2);
     for (int i = 0; i < 100000; ++i)
-        table.insert(lineAlign(fill.below(1ull << 26)), i, content,
-                     sinks);
+        table.insert(lineAlign(fill.below(1ull << 26)), i, content);
     Rng rng(3);
     for (auto _ : state) {
         Addr a = lineAlign(rng.below(1ull << 26));

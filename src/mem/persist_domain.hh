@@ -61,7 +61,6 @@ class PersistDomain
         PoolHeader,     ///< self-describing sub-page headers
         PoolBitmap,     ///< page bitmap / buddy allocator state
         Master,         ///< master mapping table entries
-        RecEpoch,       ///< the persisted rec-epoch word
         NumKinds
     };
 

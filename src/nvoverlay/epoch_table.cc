@@ -85,7 +85,7 @@ EpochTable::findOrCreateEntry(Addr page_addr)
 }
 
 bool
-EpochTable::grow(PageEntry &pe, const Sinks &sinks)
+EpochTable::grow(PageEntry &pe, Inserted &ins)
 {
     unsigned new_cap = pe.capacity == 0
                            ? p.initLines
@@ -104,13 +104,10 @@ EpochTable::grow(PageEntry &pe, const Sinks &sinks)
         LineData tmp;
         pool.readLine(pe.subPage + static_cast<Addr>(slot) * lineBytes,
                       tmp);
-        Addr dst = fresh + static_cast<Addr>(slot) * lineBytes;
-        pool.writeLine(dst, tmp);
-        if (sinks.reloc)
-            sinks.reloc(dst, lineBytes);
-        else if (sinks.data)
-            sinks.data(dst, lineBytes);
+        pool.writeLine(fresh + static_cast<Addr>(slot) * lineBytes, tmp);
     }
+    ins.grownTo = fresh;
+    ins.relocated = pe.used;
 
     PagePool::SubPageHeader hdr;
     if (pe.subPage != invalidAddr) {
@@ -124,17 +121,15 @@ EpochTable::grow(PageEntry &pe, const Sinks &sinks)
     hdr.capacityLines = static_cast<std::uint8_t>(new_cap);
     hdr.usedLines = pe.used;
     pool.setHeader(fresh, hdr);
-    if (sinks.meta)
-        sinks.meta(16);   // header create/update
+    ins.metaBytes = 16;   // header create/update
 
     pe.subPage = fresh;
     pe.capacity = static_cast<std::uint8_t>(new_cap);
     return true;
 }
 
-bool
-EpochTable::insert(Addr line_addr, SeqNo seq, const LineData &content,
-                   const Sinks &sinks)
+EpochTable::Inserted
+EpochTable::insert(Addr line_addr, SeqNo seq, const LineData &content)
 {
     nvo_assert(lineAlign(line_addr) == line_addr);
     Addr page_addr = pageAlign(line_addr);
@@ -142,39 +137,31 @@ EpochTable::insert(Addr line_addr, SeqNo seq, const LineData &content,
     PageEntry *pe = findOrCreateEntry(page_addr);
     nvo_assert(!pe->reclaimed, "insert into a reclaimed overlay page");
 
+    Inserted ins;
     unsigned slot;
     bool fresh_line = !((pe->bitmap >> li) & 1ull);
     if (fresh_line) {
-        if (pe->used == pe->capacity) {
-            if (!grow(*pe, sinks))
-                return false;
-        }
+        if (pe->used == pe->capacity && !grow(*pe, ins))
+            return ins;
         slot = pe->used++;
         pe->bitmap |= 1ull << li;
         pe->lineSlot[li] = static_cast<std::uint8_t>(slot);
         ++versions;
         pool.fillSlot(pe->subPage, slot, li);
     } else {
-        // Same-epoch overwrite: the newest store wins in place. A
-        // stale write (e.g., a walker draining content captured
-        // before a concurrent same-epoch store) still costs a device
-        // write but must not clobber newer content.
         slot = pe->lineSlot[li];
-        if (seq < pe->slotSeq[slot]) {
-            Addr nvm_addr =
-                pe->subPage + static_cast<Addr>(slot) * lineBytes;
-            if (sinks.data)
-                sinks.data(nvm_addr, lineBytes);
-            return true;
-        }
     }
+    ins.nvmAddr = pe->subPage + static_cast<Addr>(slot) * lineBytes;
 
-    pe->slotSeq[slot] = seq;
-    Addr nvm_addr = pe->subPage + static_cast<Addr>(slot) * lineBytes;
-    pool.writeLine(nvm_addr, content);
-    if (sinks.data)
-        sinks.data(nvm_addr, lineBytes);
-    return true;
+    // Same-epoch overwrite: the newest store wins in place. A stale
+    // write (e.g., a walker draining content captured before a
+    // concurrent same-epoch store) still costs a device write but
+    // must not clobber newer content.
+    if (fresh_line || seq >= pe->slotSeq[slot]) {
+        pe->slotSeq[slot] = seq;
+        pool.writeLine(ins.nvmAddr, content);
+    }
+    return ins;
 }
 
 void
@@ -218,23 +205,6 @@ EpochTable::readVersion(Addr line_addr, LineData &out) const
         return false;
     pool.readLine(nvm, out);
     return true;
-}
-
-void
-EpochTable::forEachVersion(
-    const std::function<void(Addr, Addr)> &fn) const
-{
-    for (const auto &pe : entries) {
-        if (pe->reclaimed)
-            continue;
-        for (unsigned li = 0; li < linesPerPage; ++li) {
-            if (!((pe->bitmap >> li) & 1ull))
-                continue;
-            fn(pe->pageAddr + static_cast<Addr>(li) * lineBytes,
-               pe->subPage +
-                   static_cast<Addr>(pe->lineSlot[li]) * lineBytes);
-        }
-    }
 }
 
 void

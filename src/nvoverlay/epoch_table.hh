@@ -27,7 +27,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/fn_ref.hh"
 #include "common/types.hh"
 #include "mem/backing_store.hh"
 #include "nvoverlay/page_pool.hh"
@@ -52,20 +51,23 @@ class EpochTable
     };
 
     /**
-     * Sinks for the NVM traffic this table generates: references to
-     * callables the caller keeps alive across the insert (an empty
-     * sink drops its traffic).
+     * The NVM traffic one insert caused, for the caller to issue: the
+     * relocation copies first, in slot order, then the data write.
      */
-    struct Sinks
+    struct Inserted
     {
-        /** Version data written to NVM (absorbed by the OMC buffer
-         *  when one is present). */
-        FnRef<void(Addr nvm_addr, std::uint32_t bytes)> data;
-        /** Sub-page relocation copies (always hit the device; counted
-         *  as data when empty). */
-        FnRef<void(Addr nvm_addr, std::uint32_t bytes)> reloc;
-        /** Persistent sub-page header metadata written to NVM. */
-        FnRef<void(std::uint32_t bytes)> meta;
+        /** The version's slot, which takes its 64 B data write (a
+         *  stale same-epoch re-insert still costs one). invalidAddr:
+         *  the pool is exhausted and nothing was written. */
+        Addr nvmAddr = invalidAddr;
+        /** The page's new sub-page when the insert grew it, else
+         *  invalidAddr. */
+        Addr grownTo = invalidAddr;
+        /** Slots 0..relocated-1 of grownTo received 64 B copies of
+         *  the page's existing versions. */
+        unsigned relocated = 0;
+        /** Persistent sub-page header bytes written. */
+        std::uint32_t metaBytes = 0;
     };
 
     /** Leaf descriptor for one overlay page. */
@@ -102,13 +104,13 @@ class EpochTable
     EpochWide epochId() const { return epoch_; }
 
     /**
-     * Insert (or overwrite) the version of @p line_addr. Writes the
-     * content into the pool and reports NVM traffic through
-     * @p sinks. Returns false when the pool is exhausted (the caller
-     * must run compaction or extend the pool and retry).
+     * Insert (or overwrite) the version of @p line_addr: write the
+     * content into the pool and return the NVM traffic that took.
+     * When the pool is exhausted nothing changes and nvmAddr is
+     * invalidAddr (the caller must run compaction or extend the pool
+     * and retry).
      */
-    bool insert(Addr line_addr, SeqNo seq, const LineData &content,
-                const Sinks &sinks);
+    Inserted insert(Addr line_addr, SeqNo seq, const LineData &content);
 
     /** NVM address of this epoch's version of @p line_addr. */
     Addr lookupNvm(Addr line_addr) const;
@@ -117,8 +119,22 @@ class EpochTable
     bool readVersion(Addr line_addr, LineData &out) const;
 
     /** Visit every mapped version: fn(line_addr, nvm_addr). */
-    void forEachVersion(
-        const std::function<void(Addr, Addr)> &fn) const;
+    template <typename Fn>
+    void
+    forEachVersion(Fn &&fn) const
+    {
+        for (const auto &pe : entries) {
+            if (pe->reclaimed)
+                continue;
+            for (unsigned li = 0; li < linesPerPage; ++li) {
+                if (!((pe->bitmap >> li) & 1ull))
+                    continue;
+                fn(pe->pageAddr + static_cast<Addr>(li) * lineBytes,
+                   pe->subPage +
+                       static_cast<Addr>(pe->lineSlot[li]) * lineBytes);
+            }
+        }
+    }
 
     /**
      * Reconstruct one overlay page from a persistent sub-page header
@@ -152,8 +168,9 @@ class EpochTable
     PageEntry *findEntry(Addr page_addr) const;
     PageEntry *findOrCreateEntry(Addr page_addr);
 
-    /** Grow @p pe's sub-page; returns false if the pool is full. */
-    bool grow(PageEntry &pe, const Sinks &sinks);
+    /** Grow @p pe's sub-page, recording the relocation in @p ins;
+     *  returns false if the pool is full. */
+    bool grow(PageEntry &pe, Inserted &ins);
 
     EpochWide epoch_;
     PagePool &pool;

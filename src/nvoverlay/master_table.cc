@@ -14,9 +14,8 @@ constexpr std::uint64_t innerNodeBytes = 512 * 8;
 constexpr std::uint64_t leafNodeBytes = 64 * 8;
 } // namespace
 
-MasterTable::MasterTable(MetaWriteFn meta_write)
-    : metaWrite(std::move(meta_write)),
-      hWalk_(obs::metricRegistry().addHist("mnm.master_walk_depth")),
+MasterTable::MasterTable()
+    : hWalk_(obs::metricRegistry().addHist("mnm.master_walk_depth")),
       root(new InnerNode), nodeBytes_(innerNodeBytes)
 {
 }
@@ -52,14 +51,7 @@ MasterTable::idxAt(Addr line_addr, unsigned level)
     return lineInPage(line_addr);
 }
 
-void
-MasterTable::emitMeta(std::uint32_t bytes)
-{
-    if (metaWrite)
-        metaWrite(bytes);
-}
-
-std::optional<MasterTable::Entry>
+MasterTable::Inserted
 MasterTable::insert(tenant::Key key, Addr nvm_addr, EpochWide e)
 {
     const Addr line_addr = key.addr;
@@ -71,7 +63,6 @@ MasterTable::insert(tenant::Key key, Addr nvm_addr, EpochWide e)
         if (!c) {
             c = new InnerNode;
             nodeBytes_ += innerNodeBytes;
-            emitMeta(8);   // parent pointer persist
             ++allocated;
         }
         node = static_cast<InnerNode *>(c);
@@ -80,28 +71,29 @@ MasterTable::insert(tenant::Key key, Addr nvm_addr, EpochWide e)
     if (!lc) {
         lc = new LeafNode;
         nodeBytes_ += leafNodeBytes;
-        emitMeta(8);
         ++allocated;
     }
     auto *leaf = static_cast<LeafNode *>(lc);
     unsigned li = idxAt(line_addr, 4);
 
-    std::optional<Entry> replaced;
+    Inserted ins;
     if ((leaf->bitmap >> li) & 1ull)
-        replaced = leaf->entry[li];
+        ins.replaced = leaf->entry[li];
     else
         ++mapped;
     if (journaling()) {
-        undoLog.push_back({line_addr, replaced.value_or(Entry{})});
+        undoLog.push_back({line_addr, ins.replaced.value_or(Entry{})});
         staged(PersistDomain::Kind::Master);
     }
     leaf->bitmap |= 1ull << li;
     leaf->entry[li] = Entry{nvm_addr, e};
-    emitMeta(8);   // entry persist (48-bit addr + 16-bit epoch)
+    // One parent-pointer persist per node created, plus the entry
+    // persist (48-bit addr + 16-bit epoch).
+    ins.metaBytes = 8 * (allocated + 1);
     // Fixed-depth radix: 4 nodes visited, plus one "cost" unit per
     // node allocated on the way down.
     NVO_METRIC(record(hWalk_, 4 + allocated));
-    return replaced;
+    return ins;
 }
 
 void

@@ -6,7 +6,7 @@
  * per-epoch tables (9 bits each, address bits 47..12); the fifth
  * level is indexed by bits 11..6 for cache-line-granularity mapping.
  * Every node is persisted on NVM; each entry update is one 8-byte
- * persistent write, reported through the metadata sink so the
+ * persistent write, which insert() reports to its caller so the
  * experiments can account mapping-table write traffic (Fig. 12) and
  * table storage (Fig. 13). While an armed persist domain is attached,
  * every insert journals the entry it replaced (or its absence), so a
@@ -43,10 +43,18 @@ class MasterTable : private PersistDomain::Journal
         EpochWide epoch = 0;
     };
 
-    /** Sink for persistent metadata writes (bytes). */
-    using MetaWriteFn = std::function<void(std::uint32_t)>;
+    /** What one insert replaced and the persists it took. */
+    struct Inserted
+    {
+        /** The entry the insert replaced, if the line was mapped (its
+         *  version becomes stale and must be unreferenced for GC). */
+        std::optional<Entry> replaced;
+        /** Persistent bytes written: 8 per node created on the way
+         *  down plus 8 for the entry. */
+        std::uint32_t metaBytes = 0;
+    };
 
-    explicit MasterTable(MetaWriteFn meta_write = {});
+    MasterTable();
     ~MasterTable();
 
     MasterTable(const MasterTable &) = delete;
@@ -60,11 +68,8 @@ class MasterTable : private PersistDomain::Journal
      * Map @p key (an ASID-tagged line address) to @p nvm_addr
      * (version of epoch @p e). The tenant's subtree is selected by
      * the tag bits inside the key's address — see tenant/asid.hh.
-     * Returns the replaced entry if one existed (its version becomes
-     * stale and must be unreferenced for GC).
      */
-    std::optional<Entry> insert(tenant::Key key, Addr nvm_addr,
-                                EpochWide e);
+    Inserted insert(tenant::Key key, Addr nvm_addr, EpochWide e);
 
     /**
      * Unmap @p key (the crash unwind of an insert that mapped a fresh
@@ -120,13 +125,11 @@ class MasterTable : private PersistDomain::Journal
     void commit() override { undoLog.clear(); }
     void unwind() override;
 
-    void emitMeta(std::uint32_t bytes);
     void destroy(InnerNode *node, unsigned level);
     void forEachRec(const InnerNode *node, unsigned level, Addr prefix,
                     const std::function<void(Addr, const Entry &)> &fn)
         const;
 
-    MetaWriteFn metaWrite;
     /** Walk-depth histogram (nodes visited + nodes allocated per
      *  insert): a p99 above the 5-level floor means inserts are
      *  still growing the tree rather than filling existing leaves. */

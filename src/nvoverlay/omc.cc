@@ -33,11 +33,7 @@ MnmBackend::MnmBackend(const Params &params, NvmModel &nvm_model,
         parts[i].pool =
             std::make_unique<PagePool>(base, p.poolBytesPerOmc);
         parts[i].pool->attachPersist(&nvm.persist());
-        Part *part = &parts[i];
-        parts[i].master = std::make_unique<MasterTable>(
-            [this, part](std::uint32_t bytes) {
-                part->pendingMetaBytes += bytes;
-            });
+        parts[i].master = std::make_unique<MasterTable>();
         parts[i].master->attachPersist(&nvm.persist());
         if (p.useBuffer)
             parts[i].buffer = std::make_unique<OmcBuffer>(p.buffer);
@@ -137,51 +133,30 @@ MnmBackend::insertVersion(Addr line_addr, EpochWide oid, SeqNo seq,
         ++stats.gcCompactions;
     }
 
-    bool buffered = part.buffer && !bufferBypass;
-
-    auto data = [&](Addr a, std::uint32_t) {
-        stall += deviceWrite(a, now, obs::causeOf(why), asid);
-    };
-    auto reloc = [&](Addr a, std::uint32_t) {
-        stall += deviceWrite(a, now, obs::LedgerCause::SubpageReloc,
-                             asid);
-        stats.extra["subpage_reloc_bytes"] += lineBytes;
-    };
-    auto meta = [&](std::uint32_t bytes) {
-        part.pendingMetaBytes += bytes;
-    };
-    EpochTable::Sinks sinks;
-    sinks.reloc = reloc;
-    sinks.meta = meta;
     // When buffered, the 64 B version write is deferred until the
-    // buffer evicts the (addr, epoch) slot; sinks.data stays empty.
-    if (!buffered)
-        sinks.data = data;
-
+    // buffer evicts the (addr, epoch) slot.
+    const bool buffered = part.buffer && !bufferBypass;
     EpochTable &table = getTable(part, oid);
-    // A version at or behind rec-epoch lands in an already-merged
-    // table (see the late-merge block below): note its page's
-    // sub-page so a grow() that moves the page's mapped versions can
-    // be followed in the master.
-    const bool late = recEpoch_ != 0 && oid <= recEpoch_;
-    const EpochTable::PageEntry *before =
-        late ? table.pageEntry(pageAlign(line_addr)) : nullptr;
-    const Addr late_old_sub = before ? before->subPage : invalidAddr;
-    bool ok = table.insert(line_addr, seq, content, sinks);
-    if (!ok) {
+    const auto try_insert = [&] {
+        return tableInsert(part, table, line_addr, seq, content,
+                           obs::causeOf(why), buffered, now, stall);
+    };
+    Addr nvm_addr = try_insert();
+    if (nvm_addr == invalidAddr) {
         // Pool exhausted: compact if enabled, else ask the OS for
         // more pages (paper Sec. V-D).
         if (p.compactionThreshold < 1.0) {
             compact(now);
             ++stats.gcCompactions;
-            ok = table.insert(line_addr, seq, content, sinks);
+            nvm_addr = try_insert();
         }
-        if (!ok) {
+        if (nvm_addr == invalidAddr) {
             part.pool->extend(p.extendPages);
             stats.extra["pool_extensions"] += 1;
-            ok = table.insert(line_addr, seq, content, sinks);
+            nvm_addr = try_insert();
         }
-        nvo_assert(ok, "pool exhausted even after extension");
+        nvo_assert(nvm_addr != invalidAddr,
+                   "pool exhausted even after extension");
     }
     NVO_LEDGER(
         insertVersion(oidx, line_addr, oid, obs::causeOf(why), now));
@@ -194,22 +169,13 @@ MnmBackend::insertVersion(Addr line_addr, EpochWide oid, SeqNo seq,
     // mergeUpTo() never revisits merged epochs, so map the late
     // version into the master here — otherwise the recovered image
     // would silently miss it.
-    if (late) {
-        EpochTable::PageEntry *pe =
-            table.pageEntry(pageAlign(line_addr));
-        nvo_assert(pe != nullptr);
-        // The master maps the page's other lines by address whether
-        // or not this version is mapped below.
-        if (late_old_sub != invalidAddr && pe->subPage != late_old_sub)
-            remapRelocated(part, table, *pe);
+    if (recEpoch_ != 0 && oid <= recEpoch_) {
         const MasterTable::Entry *cur = part.master->lookup(line_addr);
         if (cur == nullptr || cur->epoch <= oid) {
             NVO_FAULT_POINT("omc.late_merge");
-            Addr nvm_addr = table.lookupNvm(line_addr);
-            nvo_assert(nvm_addr != invalidAddr);
-            auto replaced = masterInsert(part, line_addr, nvm_addr,
-                                         oid);
-            ++pe->liveMaster;
+            auto replaced =
+                masterInsert(part, line_addr, nvm_addr, oid,
+                             table.pageEntry(pageAlign(line_addr)));
             if (replaced)
                 unref(oidx, part, line_addr, *replaced, now);
             stats.extra["late_merges"] += 1;
@@ -268,16 +234,61 @@ MnmBackend::ackedEpoch(Addr line_addr) const
     return e ? *e : 0;
 }
 
+Addr
+MnmBackend::tableInsert(Part &part, EpochTable &table, Addr line_addr,
+                        SeqNo seq, const LineData &content,
+                        obs::LedgerCause cause, bool buffered,
+                        Cycle now, Cycle &stall)
+{
+    const EpochTable::Inserted ins =
+        table.insert(line_addr, seq, content);
+    if (ins.nvmAddr == invalidAddr)
+        return invalidAddr;
+    // A compaction copy pays for the relocations it triggers too.
+    // Either way the relocated page, and so its tenant, is the
+    // version's.
+    const bool copy = cause == obs::LedgerCause::CompactionCopy;
+    const obs::LedgerCause reloc =
+        copy ? cause : obs::LedgerCause::SubpageReloc;
+    const tenant::Asid asid = tenant::asidOf(line_addr);
+    for (unsigned slot = 0; slot < ins.relocated; ++slot)
+        stall += deviceWrite(
+            ins.grownTo + static_cast<Addr>(slot) * lineBytes, now,
+            reloc, asid);
+    if (!buffered)
+        stall += deviceWrite(ins.nvmAddr, now, cause, asid);
+    const std::uint64_t relocated_bytes =
+        static_cast<std::uint64_t>(ins.relocated) * lineBytes;
+    if (copy)
+        stats.gcBytesCopied += relocated_bytes + (buffered ? 0 : lineBytes);
+    else if (ins.relocated > 0)
+        stats.extra["subpage_reloc_bytes"] += relocated_bytes;
+    part.pendingMetaBytes += ins.metaBytes;
+    // A table at or behind rec-epoch is already merged (a late
+    // version, or the compaction target): the grow moved versions the
+    // master maps by address.
+    if (ins.relocated > 0 && recEpoch_ != 0 &&
+        table.epochId() <= recEpoch_)
+        remapRelocated(part, table,
+                       *table.pageEntry(pageAlign(line_addr)));
+    return ins.nvmAddr;
+}
+
 std::optional<MasterTable::Entry>
 MnmBackend::masterInsert(Part &part, Addr line_addr, Addr nvm_addr,
-                         EpochWide e)
+                         EpochWide e, EpochTable::PageEntry *pe)
 {
     // masterInsert IS the sanctioned mutation point: every caller
     // pairs it with the ledger insert/merge hook. The master journals
     // the entry it replaced while the persist domain is armed; a
     // crash unwind restores modelled state the ledger never saw.
     // The tenant::Key carries the ASID tag into the tree.
-    return part.master->insert(tenant::keyOf(line_addr), nvm_addr, e);
+    const MasterTable::Inserted ins =
+        part.master->insert(tenant::keyOf(line_addr), nvm_addr, e);
+    part.pendingMetaBytes += ins.metaBytes;
+    if (pe)
+        ++pe->liveMaster;
+    return ins.replaced;
 }
 
 void
@@ -313,7 +324,7 @@ MnmBackend::remapRelocated(Part &part, const EpochTable &table,
         const auto *entry = part.master->lookup(line_addr);
         if (entry && entry->epoch == table.epochId())
             masterInsert(part, line_addr, table.lookupNvm(line_addr),
-                         table.epochId());
+                         table.epochId(), nullptr);
     }
 }
 
@@ -378,12 +389,10 @@ MnmBackend::mergeUpTo(EpochWide from, EpochWide upto, Cycle now)
                 ++run;
                 if (p.testDropMerge && (++dropMergeTick % 5) == 0)
                     return;   // seeded bug: silently skip the merge
-                auto replaced = masterInsert(part, line_addr, nvm_addr,
-                                             table.epochId());
-                EpochTable::PageEntry *pe =
-                    table.pageEntry(pageAlign(line_addr));
-                nvo_assert(pe != nullptr);
-                ++pe->liveMaster;
+                auto replaced =
+                    masterInsert(part, line_addr, nvm_addr,
+                                 table.epochId(),
+                                 table.pageEntry(pageAlign(line_addr)));
                 if (replaced)
                     unref(oidx, part, line_addr, *replaced, now);
                 NVO_LEDGER(merged(oidx, line_addr, table.epochId(),
@@ -507,21 +516,6 @@ MnmBackend::compact(Cycle now)
             // Copy still-live versions forward to the newest merged
             // epoch, as if those addresses were written now.
             EpochTable &target = getTable(part, recEpoch_);
-            // cur_asid tracks the tenant of the line being moved so
-            // the copy (and any relocation it triggers — same page,
-            // same tenant) is attributed to its owner.
-            tenant::Asid cur_asid = 0;
-            auto data = [&](Addr a, std::uint32_t) {
-                deviceWrite(a, now, obs::LedgerCause::CompactionCopy,
-                            cur_asid);
-                stats.gcBytesCopied += lineBytes;
-            };
-            auto meta = [&](std::uint32_t bytes) {
-                part.pendingMetaBytes += bytes;
-            };
-            EpochTable::Sinks sinks;
-            sinks.data = data;
-            sinks.meta = meta;
             std::vector<Addr> moved;
             table.forEachVersion([&](Addr line_addr, Addr) {
                 const auto *entry = part.master->lookup(line_addr);
@@ -538,32 +532,25 @@ MnmBackend::compact(Cycle now)
             // monopolize reclamation order across passes.
             if (tm_)
                 tm_->orderForCompaction(moved);
+            // No issuer waits on a compaction pass: the stalls of its
+            // device writes are dropped.
+            Cycle unused_stall = 0;
             for (Addr line_addr : moved) {
-                cur_asid = tenant::asidOf(line_addr);
                 NVO_FAULT_POINT("omc.compact.copy");
                 LineData content;
                 table.readVersion(line_addr, content);
-                const EpochTable::PageEntry *before =
-                    target.pageEntry(pageAlign(line_addr));
-                const Addr old_sub =
-                    before ? before->subPage : invalidAddr;
-                bool ok = target.insert(line_addr, ~static_cast<SeqNo>(0),
-                                        content, sinks);
-                if (!ok)
+                const Addr fresh = tableInsert(
+                    part, target, line_addr, ~static_cast<SeqNo>(0),
+                    content, obs::LedgerCause::CompactionCopy, false,
+                    now, unused_stall);
+                if (fresh == invalidAddr)
                     return;   // target pool full; give up this pass
                 NVO_LEDGER(insertVersion(
                     oidx, line_addr, recEpoch_,
                     obs::LedgerCause::CompactionCopy, now));
-                EpochTable::PageEntry *tpe =
-                    target.pageEntry(pageAlign(line_addr));
-                // The target is already merged: a grow() moved
-                // versions the master maps by address.
-                if (old_sub != invalidAddr && tpe->subPage != old_sub)
-                    remapRelocated(part, target, *tpe);
-                Addr fresh = target.lookupNvm(line_addr);
-                auto replaced = masterInsert(part, line_addr, fresh,
-                                             recEpoch_);
-                ++tpe->liveMaster;
+                auto replaced =
+                    masterInsert(part, line_addr, fresh, recEpoch_,
+                                 target.pageEntry(pageAlign(line_addr)));
                 // The source version moved (not died); mark it first
                 // so the unref of its replaced master entry — the
                 // same (line, epoch) — stays a no-op.

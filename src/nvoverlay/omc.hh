@@ -257,11 +257,32 @@ class MnmBackend
     /** Merge all tables in (from, upto] into the master. */
     void mergeUpTo(EpochWide from, EpochWide upto, Cycle now);
 
-    /** Master insert (journaled by the master while the persist
-     *  domain is armed). */
+    /**
+     * The one write path into a per-epoch table: insert @p content as
+     * @p table's version of @p line_addr, then issue the traffic the
+     * insert reports — relocation copies in slot order, then the data
+     * write unless @p buffered (the OMC buffer defers it) — queue its
+     * header metadata, and, when it grew a page of a table already
+     * merged into the master, re-point the master at the moved
+     * versions. @p cause names the data write; relocations count as
+     * SubpageReloc, except that a CompactionCopy pays for both and
+     * for gcBytesCopied. Device-write stalls add to @p stall. Returns
+     * the version's NVM slot, or invalidAddr, having written nothing,
+     * when the pool is exhausted.
+     */
+    Addr tableInsert(Part &part, EpochTable &table, Addr line_addr,
+                     SeqNo seq, const LineData &content,
+                     obs::LedgerCause cause, bool buffered, Cycle now,
+                     Cycle &stall);
+
+    /** Map @p line_addr to @p nvm_addr, epoch @p e's version, in the
+     *  master (journaled by the master while the persist domain is
+     *  armed) and queue the persists it took. @p pe, when non-null,
+     *  is the page entry holding that version: the mapping takes one
+     *  GC reference on it. Returns the replaced entry, if any. */
     std::optional<MasterTable::Entry>
     masterInsert(Part &part, Addr line_addr, Addr nvm_addr,
-                 EpochWide e);
+                 EpochWide e, EpochTable::PageEntry *pe);
 
     /** Unreference a replaced master entry (GC refcount); records the
      *  superseded version's drop in the provenance ledger. */
@@ -270,7 +291,8 @@ class MnmBackend
 
     /** Re-point the master entries that map @p pe's versions at
      *  @p table's epoch after a grow() moved them to a new sub-page
-     *  and freed the old one. */
+     *  and freed the old one (tableInsert's follow; the mappings
+     *  keep their GC references). */
     void remapRelocated(Part &part, const EpochTable &table,
                         const EpochTable::PageEntry &pe);
 

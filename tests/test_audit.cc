@@ -181,15 +181,14 @@ TEST(AuditDeath, HeaderEpochCorruptionIsCaught)
     PagePool pool(1ull << 40, 1ull << 20);
     EpochTable::Params tp;
     EpochTable table(3, pool, tp);
-    EpochTable::Sinks sinks;
     LineData d;
     d.bytes.fill(0xab);
-    ASSERT_TRUE(table.insert(0x1000, 1, d, sinks));
-    Addr sub = table.lookupNvm(0x1000);
+    const Addr sub = table.insert(0x1000, 1, d).nvmAddr;
     ASSERT_NE(sub, invalidAddr);
+    ASSERT_EQ(table.lookupNvm(0x1000), sub);
     // Seeded corruption: the persistent header claims another epoch.
-    // (The first insert lands in slot 0, so lookupNvm returns the
-    // sub-page base the header is keyed by.)
+    // (The first insert lands in slot 0, so its slot is the sub-page
+    // base the header is keyed by.)
     ASSERT_NE(pool.header(sub), nullptr);
     PagePool::SubPageHeader hdr = *pool.header(sub);
     hdr.epoch = 99;

@@ -134,22 +134,36 @@ TEST(LongHorizon, RunningTableFootprintMatchesRescan)
     }
 }
 
-/** Best-of-@p reps process CPU seconds to build and run @p cfg;
+/**
+ * Best-of-@p reps CPU seconds of two timed runs, taken in the order
+ * A, B, A, B, ... so that a burst of host load (other tests sharing
+ * the machine) reaches both sides alike. Each side returns its CPU
+ * seconds.
+ */
+template <typename RunA, typename RunB>
+std::pair<double, double>
+bestOfInterleaved(int reps, RunA &&run_a, RunB &&run_b)
+{
+    double best_a = 0, best_b = 0;
+    for (int r = 0; r < reps; ++r) {
+        const double a = run_a();
+        const double b = run_b();
+        best_a = r == 0 ? a : std::min(best_a, a);
+        best_b = r == 0 ? b : std::min(best_b, b);
+    }
+    return {best_a, best_b};
+}
+
+/** Process CPU seconds to build and run hashtable under @p cfg;
  *  reports the epochs the run completed through @p epochs. */
 double
-bestCpuSeconds(const Config &cfg, int reps, std::uint64_t &epochs)
+buildAndRunCpuSeconds(const Config &cfg, std::uint64_t &epochs)
 {
-    double best = 0;
-    for (int r = 0; r < reps; ++r) {
-        const std::clock_t start = std::clock();
-        System sys(cfg, "nvoverlay", "hashtable");
-        sys.run();
-        const double cpu =
-            static_cast<double>(std::clock() - start) / CLOCKS_PER_SEC;
-        best = r == 0 ? cpu : std::min(best, cpu);
-        epochs = sys.scheme().epochsCompleted();
-    }
-    return best;
+    const std::clock_t start = std::clock();
+    System sys(cfg, "nvoverlay", "hashtable");
+    sys.run();
+    epochs = sys.scheme().epochsCompleted();
+    return static_cast<double>(std::clock() - start) / CLOCKS_PER_SEC;
 }
 
 TEST(LongHorizon, HostCostGrowsWithEpochsNotHistory)
@@ -160,10 +174,11 @@ TEST(LongHorizon, HostCostGrowsWithEpochsNotHistory)
     setQuiet(true);
     // Process CPU time, best of three, is robust to co-scheduled load;
     // the assertion is a ratio, so it is robust to host speed.
+    const Config small_cfg = hifreqConfig(250), big_cfg = hifreqConfig(1000);
     std::uint64_t small_epochs = 0, big_epochs = 0;
-    const double small = bestCpuSeconds(hifreqConfig(250), 3,
-                                        small_epochs);
-    const double big = bestCpuSeconds(hifreqConfig(1000), 3, big_epochs);
+    const auto [small, big] = bestOfInterleaved(
+        3, [&] { return buildAndRunCpuSeconds(small_cfg, small_epochs); },
+        [&] { return buildAndRunCpuSeconds(big_cfg, big_epochs); });
     ASSERT_GE(big_epochs, 3.5 * static_cast<double>(small_epochs))
         << "the larger run must complete ~4x the epochs";
     EXPECT_LE(big, 8.0 * small)
@@ -198,20 +213,6 @@ runCpuSeconds(const Config &cfg, const char *scheme,
     return static_cast<double>(std::clock() - start) / CLOCKS_PER_SEC;
 }
 
-/** Best-of-@p reps runCpuSeconds() of hashtable under @p scheme. */
-double
-bestRunCpuSeconds(const Config &cfg, int reps, std::uint64_t &epochs,
-                  const char *scheme = "nvoverlay")
-{
-    double best = 0;
-    for (int r = 0; r < reps; ++r) {
-        const double cpu =
-            runCpuSeconds(cfg, scheme, "hashtable", epochs);
-        best = r == 0 ? cpu : std::min(best, cpu);
-    }
-    return best;
-}
-
 TEST(LongHorizon, WalkCostIndependentOfL2Capacity)
 {
     // Full audit sweeps scan every cache slot by design.
@@ -221,11 +222,19 @@ TEST(LongHorizon, WalkCostIndependentOfL2Capacity)
     // A tag walk runs after every epoch advance. Its host cost must
     // follow the lines the epoch wrote, not the L2's slot count, so
     // a 16x larger L2 must leave the run's CPU time nearly flat.
+    const Config small_cfg = tableTwoHifreqConfig(256),
+                 big_cfg = tableTwoHifreqConfig(4096);
     std::uint64_t small_epochs = 0, big_epochs = 0;
-    const double small =
-        bestRunCpuSeconds(tableTwoHifreqConfig(256), 3, small_epochs);
-    const double big =
-        bestRunCpuSeconds(tableTwoHifreqConfig(4096), 3, big_epochs);
+    const auto [small, big] = bestOfInterleaved(
+        3,
+        [&] {
+            return runCpuSeconds(small_cfg, "nvoverlay", "hashtable",
+                                 small_epochs);
+        },
+        [&] {
+            return runCpuSeconds(big_cfg, "nvoverlay", "hashtable",
+                                 big_epochs);
+        });
     ASSERT_NEAR(static_cast<double>(big_epochs),
                 static_cast<double>(small_epochs), 0.05 * small_epochs)
         << "both runs must do about the same epoch work";
@@ -260,11 +269,19 @@ TEST(LongHorizon, PiclWalkCostIndependentOfTagCapacity)
     // PiCL's tag walk runs at every global epoch. Its host cost must
     // follow the lines the epoch dirtied, not the tag array's slot
     // count, so 8x the tags must leave the run's CPU time nearly flat.
+    const Config small_cfg = piclHifreqConfig(4ull << 20),
+                 big_cfg = piclHifreqConfig(32ull << 20);
     std::uint64_t small_epochs = 0, big_epochs = 0;
-    const double small = bestRunCpuSeconds(
-        piclHifreqConfig(4ull << 20), 3, small_epochs, "picl");
-    const double big = bestRunCpuSeconds(
-        piclHifreqConfig(32ull << 20), 3, big_epochs, "picl");
+    const auto [small, big] = bestOfInterleaved(
+        3,
+        [&] {
+            return runCpuSeconds(small_cfg, "picl", "hashtable",
+                                 small_epochs);
+        },
+        [&] {
+            return runCpuSeconds(big_cfg, "picl", "hashtable",
+                                 big_epochs);
+        });
     ASSERT_EQ(big_epochs, small_epochs)
         << "both runs must do the same epoch work";
     ASSERT_GT(small_epochs, 50u) << "the walk must run often";

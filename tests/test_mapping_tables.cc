@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <type_traits>
 
 #include "common/rng.hh"
 #include "nvoverlay/epoch_table.hh"
@@ -29,24 +28,6 @@ lineOf(std::uint8_t fill)
     return d;
 }
 
-/** A sink that totals the bytes handed to it. */
-struct ByteCounter
-{
-    std::uint64_t bytes = 0;
-
-    void operator()(Addr, std::uint32_t b) { bytes += b; }
-    void operator()(std::uint32_t b) { bytes += b; }
-};
-
-// A sink binds only a named callable: a temporary would die at the end
-// of the assignment and leave the sink pointing at nothing.
-static_assert(
-    std::is_assignable_v<decltype(EpochTable::Sinks::meta) &,
-                         ByteCounter &>);
-static_assert(
-    !std::is_assignable_v<decltype(EpochTable::Sinks::meta) &,
-                          ByteCounter &&>);
-
 class EpochTableTest : public ::testing::Test
 {
   protected:
@@ -56,33 +37,49 @@ class EpochTableTest : public ::testing::Test
         p.initLines = 4;
         p.growthFactor = 4;
         table = std::make_unique<EpochTable>(7, pool, p);
-        // The sinks refer to the counters, which live as long as the
-        // fixture.
-        sinks.data = data;
-        sinks.reloc = reloc;
-        sinks.meta = meta;
+    }
+
+    /** Insert into @p t and total the traffic it reports, as the OMC
+     *  issues it: one 64 B data write per insert the pool took (a
+     *  stale re-insert included), one 64 B copy per relocated slot,
+     *  and the header metadata. False: the pool is exhausted. */
+    bool
+    insert(EpochTable &t, Addr line, SeqNo seq, const LineData &content)
+    {
+        const EpochTable::Inserted ins = t.insert(line, seq, content);
+        if (ins.nvmAddr == invalidAddr)
+            return false;
+        dataBytes += lineBytes;
+        relocBytes += ins.relocated * lineBytes;
+        metaBytes += ins.metaBytes;
+        return true;
+    }
+
+    bool
+    insert(Addr line, SeqNo seq, const LineData &content)
+    {
+        return insert(*table, line, seq, content);
     }
 
     PagePool pool;
     std::unique_ptr<EpochTable> table;
-    ByteCounter data, reloc, meta;
-    EpochTable::Sinks sinks;
+    std::uint64_t dataBytes = 0, relocBytes = 0, metaBytes = 0;
 };
 
 TEST_F(EpochTableTest, InsertLookupRoundTrip)
 {
-    ASSERT_TRUE(table->insert(0x1000, 1, lineOf(0xaa), sinks));
+    ASSERT_TRUE(insert(0x1000, 1, lineOf(0xaa)));
     LineData out;
     ASSERT_TRUE(table->readVersion(0x1000, out));
     EXPECT_EQ(out, lineOf(0xaa));
     EXPECT_FALSE(table->readVersion(0x1040, out));
     EXPECT_EQ(table->versionCount(), 1u);
-    EXPECT_EQ(data.bytes, 64u);
+    EXPECT_EQ(dataBytes, 64u);
 }
 
 TEST_F(EpochTableTest, SparsePageStartsSmall)
 {
-    table->insert(0x1000, 1, lineOf(1), sinks);
+    insert(0x1000, 1, lineOf(1));
     EXPECT_EQ(pool.bytesAllocated(), 4u * lineBytes)
         << "initial sub-page is 4 lines, not a full page";
 }
@@ -91,8 +88,8 @@ TEST_F(EpochTableTest, GrowthRelocatesCompactly)
 {
     // Fill 5 lines of one page: 4-line sub-page grows to 16.
     for (unsigned i = 0; i < 5; ++i)
-        table->insert(0x2000 + i * 64, i, lineOf(i + 1), sinks);
-    EXPECT_EQ(reloc.bytes, 4u * lineBytes) << "4 lines relocated";
+        insert(0x2000 + i * 64, i, lineOf(i + 1));
+    EXPECT_EQ(relocBytes, 4u * lineBytes) << "4 lines relocated";
     EXPECT_EQ(pool.bytesAllocated(), 16u * lineBytes);
     for (unsigned i = 0; i < 5; ++i) {
         LineData out;
@@ -101,26 +98,49 @@ TEST_F(EpochTableTest, GrowthRelocatesCompactly)
     }
 }
 
+TEST_F(EpochTableTest, InsertReportsItsTraffic)
+{
+    // A fresh page: a 4-line sub-page whose header costs 16 B.
+    EpochTable::Inserted ins = table->insert(0x2000, 1, lineOf(1));
+    ASSERT_NE(ins.grownTo, invalidAddr);
+    EXPECT_EQ(ins.nvmAddr, ins.grownTo);
+    EXPECT_EQ(ins.relocated, 0u);
+    EXPECT_EQ(ins.metaBytes, 16u);
+    const Addr first = ins.grownTo;
+    for (unsigned i = 1; i < 4; ++i)
+        EXPECT_EQ(table->insert(0x2000 + i * 64, 1, lineOf(1)).grownTo,
+                  invalidAddr);
+    // The fifth line grows the page: slots 0-3 move to a 16-line
+    // sub-page and the new version takes slot 4 there.
+    ins = table->insert(0x2100, 1, lineOf(5));
+    ASSERT_NE(ins.grownTo, invalidAddr);
+    EXPECT_NE(ins.grownTo, first);
+    EXPECT_EQ(ins.relocated, 4u);
+    EXPECT_EQ(ins.nvmAddr, ins.grownTo + 4 * lineBytes);
+    EXPECT_EQ(ins.metaBytes, 16u);
+    EXPECT_EQ(table->pageEntry(0x2000)->subPage, ins.grownTo);
+}
+
 TEST_F(EpochTableTest, SameEpochOverwriteKeepsNewest)
 {
-    table->insert(0x1000, 10, lineOf(1), sinks);
-    table->insert(0x1000, 20, lineOf(2), sinks);
+    insert(0x1000, 10, lineOf(1));
+    insert(0x1000, 20, lineOf(2));
     LineData out;
     table->readVersion(0x1000, out);
     EXPECT_EQ(out, lineOf(2));
     // A stale (lower-seq) write costs a device write but does not
     // clobber newer content.
-    table->insert(0x1000, 15, lineOf(3), sinks);
+    insert(0x1000, 15, lineOf(3));
     table->readVersion(0x1000, out);
     EXPECT_EQ(out, lineOf(2));
     EXPECT_EQ(table->versionCount(), 1u);
-    EXPECT_EQ(data.bytes, 3u * 64);
+    EXPECT_EQ(dataBytes, 3u * 64);
 }
 
 TEST_F(EpochTableTest, HeaderDescribesSubPage)
 {
-    table->insert(0x3000, 1, lineOf(9), sinks);
-    table->insert(0x3040, 2, lineOf(8), sinks);
+    insert(0x3000, 1, lineOf(9));
+    insert(0x3040, 2, lineOf(8));
     const auto *pe = table->pageEntry(0x3000);
     ASSERT_NE(pe, nullptr);
     const auto *hdr = pool.header(pe->subPage);
@@ -130,7 +150,7 @@ TEST_F(EpochTableTest, HeaderDescribesSubPage)
     EXPECT_EQ(hdr->usedLines, 2u);
     EXPECT_EQ(hdr->slotLine[0], lineInPage(0x3000));
     EXPECT_EQ(hdr->slotLine[1], lineInPage(0x3040));
-    EXPECT_GT(meta.bytes, 0u);
+    EXPECT_GT(metaBytes, 0u);
 }
 
 TEST_F(EpochTableTest, ForEachVersionVisitsAll)
@@ -139,7 +159,7 @@ TEST_F(EpochTableTest, ForEachVersionVisitsAll)
     Rng rng(3);
     for (int i = 0; i < 200; ++i) {
         Addr a = lineAlign(rng.below(1 << 20));
-        table->insert(a, i, lineOf(1), sinks);
+        insert(a, i, lineOf(1));
         want[a] = true;
     }
     std::map<Addr, bool> got;
@@ -158,9 +178,12 @@ TEST_F(EpochTableTest, PoolExhaustionReturnsFalse)
     EpochTable::Params p;
     p.initLines = 64;
     EpochTable t(1, tiny, p);
-    EXPECT_TRUE(t.insert(0x0, 1, lineOf(1), sinks));
-    EXPECT_FALSE(t.insert(0x1000, 2, lineOf(2), sinks))
+    EXPECT_TRUE(insert(t, 0x0, 1, lineOf(1)));
+    const std::uint64_t data_before = dataBytes, meta_before = metaBytes;
+    EXPECT_FALSE(insert(t, 0x1000, 2, lineOf(2)))
         << "second full page does not fit";
+    EXPECT_EQ(dataBytes, data_before) << "a failed insert writes nothing";
+    EXPECT_EQ(metaBytes, meta_before);
 }
 
 TEST_F(EpochTableTest, TableBytesGrowWithFootprint)
@@ -169,22 +192,22 @@ TEST_F(EpochTableTest, TableBytesGrowWithFootprint)
     constexpr std::uint64_t node = 4096, leaf = 16;
     std::uint64_t bytes = node;   // the root
     EXPECT_EQ(table->tableBytes(), bytes);
-    table->insert(0x1000, 1, lineOf(1), sinks);
+    insert(0x1000, 1, lineOf(1));
     bytes += 3 * node + leaf;     // a node at every level below the root
     EXPECT_EQ(table->tableBytes(), bytes);
-    table->insert(0x2000, 2, lineOf(1), sinks);
+    insert(0x2000, 2, lineOf(1));
     bytes += leaf;                // same 2 MiB region
     EXPECT_EQ(table->tableBytes(), bytes);
-    table->insert(0x2000, 3, lineOf(2), sinks);
-    table->insert(0x2040, 4, lineOf(2), sinks);
+    insert(0x2000, 3, lineOf(2));
+    insert(0x2040, 4, lineOf(2));
     EXPECT_EQ(table->tableBytes(), bytes) << "pages already mapped";
-    table->insert(0x200000, 5, lineOf(1), sinks);
+    insert(0x200000, 5, lineOf(1));
     bytes += node + leaf;         // same 1 GiB, new 2 MiB region
     EXPECT_EQ(table->tableBytes(), bytes);
-    table->insert(0x40000000, 6, lineOf(1), sinks);
+    insert(0x40000000, 6, lineOf(1));
     bytes += 2 * node + leaf;     // same 512 GiB, new 1 GiB region
     EXPECT_EQ(table->tableBytes(), bytes);
-    table->insert(0x8000000000, 7, lineOf(1), sinks);
+    insert(0x8000000000, 7, lineOf(1));
     bytes += 3 * node + leaf;     // new 512 GiB region
     EXPECT_EQ(table->tableBytes(), bytes);
 }
@@ -197,10 +220,10 @@ TEST_F(EpochTableTest, FootprintCounterFollowsTableLifetime)
         EXPECT_EQ(footprint, t.tableBytes());
         for (Addr a : {0x1000ull, 0x1040ull, 0x3000ull, 0x200000ull,
                        0x8000000000ull})
-            ASSERT_TRUE(t.insert(a, 1, lineOf(1), sinks));
+            ASSERT_TRUE(insert(t, a, 1, lineOf(1)));
         EXPECT_EQ(footprint, t.tableBytes());
         EpochTable other(4, pool, EpochTable::Params{}, &footprint);
-        other.insert(0x5000, 1, lineOf(1), sinks);
+        insert(other, 0x5000, 1, lineOf(1));
         EXPECT_EQ(footprint, t.tableBytes() + other.tableBytes());
     }
     EXPECT_EQ(footprint, 0u) << "destroyed tables subtract themselves";
@@ -210,10 +233,9 @@ TEST(EpochTableDeathTest, PageAddressBeyond48BitsIsRejected)
 {
     PagePool pool(poolBase, 16 * pageBytes);
     EpochTable t(1, pool, EpochTable::Params{});
-    EpochTable::Sinks sinks;
     // Bit 48 lies outside the modelled radix key (bits 47..12): the
     // hardware table would alias the page onto page 0x1000.
-    EXPECT_DEATH(t.insert((1ull << 48) | 0x1000, 1, lineOf(1), sinks),
+    EXPECT_DEATH(t.insert((1ull << 48) | 0x1000, 1, lineOf(1)),
                  "48-bit table key");
 }
 
@@ -221,14 +243,14 @@ TEST(MasterTable, InsertLookupReplace)
 {
     MasterTable mt;
     EXPECT_EQ(mt.lookup(0x1000), nullptr);
-    auto replaced = mt.insert(tenant::keyOf(0x1000), poolBase, 3);
+    auto replaced = mt.insert(tenant::keyOf(0x1000), poolBase, 3).replaced;
     EXPECT_FALSE(replaced.has_value());
     const auto *e = mt.lookup(0x1000);
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->nvmAddr, poolBase);
     EXPECT_EQ(e->epoch, 3u);
 
-    auto old = mt.insert(tenant::keyOf(0x1000), poolBase + 64, 5);
+    auto old = mt.insert(tenant::keyOf(0x1000), poolBase + 64, 5).replaced;
     ASSERT_TRUE(old.has_value());
     EXPECT_EQ(old->epoch, 3u);
     EXPECT_EQ(mt.lookup(0x1000)->epoch, 5u);
@@ -237,14 +259,13 @@ TEST(MasterTable, InsertLookupReplace)
 
 TEST(MasterTable, MetaWritesPerInsert)
 {
-    std::uint64_t bytes = 0;
-    MasterTable mt([&](std::uint32_t b) { bytes += b; });
-    mt.insert(tenant::keyOf(0x1000), poolBase, 1);
+    MasterTable mt;
     // First insert creates 3 inner pointers + leaf pointer + entry.
-    EXPECT_EQ(bytes, 5u * 8);
-    bytes = 0;
-    mt.insert(tenant::keyOf(0x1040), poolBase + 64, 1);   // same leaf
-    EXPECT_EQ(bytes, 8u);
+    EXPECT_EQ(mt.insert(tenant::keyOf(0x1000), poolBase, 1).metaBytes,
+              5u * 8);
+    // Same leaf: the entry alone.
+    EXPECT_EQ(mt.insert(tenant::keyOf(0x1040), poolBase + 64, 1).metaBytes,
+              8u);
 }
 
 TEST(MasterTable, NodeBytesMatchStructure)

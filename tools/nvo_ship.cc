@@ -16,8 +16,11 @@
  *             fuzz smoke: mutated frame streams must never wedge
  *
  * Every mode exits nonzero when the standby would not serve the
- * primary's recoverable image byte-exact. Any other key=value is a
- * Config override; repl.enabled is forced on (except fuzz mode).
+ * primary's recoverable image byte-exact. A plain run or single crash
+ * trial whose check read no line proved nothing and exits nonzero too
+ * (NOTHING RECOVERABLE); campaign trials judge consistency alone. Any
+ * other key=value is a Config override; repl.enabled is forced on
+ * (except fuzz mode).
  */
 
 #include <cstdio>
@@ -76,10 +79,18 @@ printShipStats(const RunStats &st)
         static_cast<unsigned long long>(st.repl.appliedRecEpoch));
 }
 
+/**
+ * The verdict line of a plain run or a single crash trial; returns the
+ * exit code. A check that read no line proves nothing, so it fails
+ * too.
+ */
 int
 printVerdict(const repl::Replicator::VerifyReport &rep,
              EpochWide primary_rec)
 {
+    const char *verdict = !rep.consistent()      ? "INCONSISTENT"
+                          : rep.linesChecked == 0 ? "NOTHING RECOVERABLE"
+                                                  : "CONSISTENT";
     std::printf("verify:  %llu (line, epoch) reads, %llu "
                 "mismatches, %llu in-flight skips, standby at "
                 "epoch %llu of %llu -> %s\n",
@@ -87,9 +98,8 @@ printVerdict(const repl::Replicator::VerifyReport &rep,
                 static_cast<unsigned long long>(rep.mismatches),
                 static_cast<unsigned long long>(rep.inflightSkips),
                 static_cast<unsigned long long>(rep.appliedRec),
-                static_cast<unsigned long long>(primary_rec),
-                rep.consistent() ? "CONSISTENT" : "INCONSISTENT");
-    return rep.consistent() ? 0 : 1;
+                static_cast<unsigned long long>(primary_rec), verdict);
+    return rep.consistent() && rep.linesChecked > 0 ? 0 : 1;
 }
 
 /** Total cycles of a completed identical run (for crash points). */
