@@ -59,6 +59,19 @@ crashAndRecover(System &sys)
         }
         ++report.mismatches;
     }
+
+    if (repl::Replicator *rep = scheme->replicator()) {
+        const EpochWide durable = rep->shipper().durableCursor();
+        const std::uint64_t reshipped =
+            rep->shipper().resume(sys.now());
+        rep->drain(sys.now());
+        rep->exportStats();
+        repl::Replicator::VerifyReport standby =
+            rep->verify(*tracker, armed);
+        standby.durableCursor = durable;
+        standby.reshipped = reshipped;
+        report.standby = standby;
+    }
     return report;
 }
 
@@ -99,9 +112,12 @@ CrashSimulator::run(const CrashPlan &plan)
             fired.firedPoint = crash.point;
             fired.firedHit = crash.hit;
         }
+    } else if (sys.runUntil(plan.cycle)) {
+        // The run ended before the cut: finish it as a point-mode
+        // plan that never fires does, with a clean finalize.
+        sys.run();
     } else {
         // Power cut at a planned cycle: stop mid-run, no finalize.
-        sys.runUntil(plan.cycle);
         fired.crashed = true;
         fired.firedPoint = "cycle";
         fired.firedHit = plan.cycle;
@@ -222,6 +238,7 @@ struct TrialSummary
     std::uint64_t linesChecked = 0;
     std::uint64_t mismatches = 0;
     std::uint64_t inflightSkips = 0;
+    std::optional<repl::Replicator::VerifyReport> standby;
 };
 
 } // namespace
@@ -288,7 +305,7 @@ runCrashCampaign(const Config &base_cfg, const CampaignParams &params)
             return TrialSummary{rep.crashed,      rep.consistent(),
                                 rep.firedHit,     rep.recEpoch,
                                 rep.linesChecked, rep.mismatches,
-                                rep.inflightSkips};
+                                rep.inflightSkips, rep.standby};
         },
         // Children stay silent; the parent prints every per-trial
         // line below, in trial order, whatever the job count.
@@ -308,16 +325,24 @@ runCrashCampaign(const Config &base_cfg, const CampaignParams &params)
             ++res.crashes;
         res.linesChecked += rep.linesChecked;
         res.inflightSkips += rep.inflightSkips;
+        std::string standby;
+        if (rep.standby)
+            standby = " standby-epoch=" +
+                      std::to_string(rep.standby->appliedRec) +
+                      " standby-reads=" +
+                      std::to_string(rep.standby->linesChecked) +
+                      " standby-mismatches=" +
+                      std::to_string(rep.standby->mismatches);
         inform("crash-campaign: trial %u/%u %s @ %s:%llu "
                "rec-epoch=%llu checked=%llu mismatches=%llu "
-               "skips=%llu%s",
+               "skips=%llu%s%s",
                t + 1, params.trials, workload.c_str(), point,
                static_cast<unsigned long long>(rep.firedHit),
                static_cast<unsigned long long>(rep.recEpoch),
                static_cast<unsigned long long>(rep.linesChecked),
                static_cast<unsigned long long>(rep.mismatches),
                static_cast<unsigned long long>(rep.inflightSkips),
-               rep.consistent ? "" : "  ** FAIL **");
+               standby.c_str(), rep.consistent ? "" : "  ** FAIL **");
         if (!rep.consistent) {
             if (res.failures == 0) {
                 // Minimization bisects serially in the parent; the

@@ -3,11 +3,14 @@
  * Crash-campaign driver (the proof layer for paper Sec. V-E).
  *
  * crashAndRecover() is the one post-crash check: it power-fails the
- * MNM backend (MnmBackend::crashReset: volatile state gone, modelled
- * NVM truncated to its durable prefix, tables rebuilt from the
- * sub-page headers), rebuilds the image via RecoveryManager, and
- * verifies every tracked line byte-exactly against the shadow write
- * tracker at the recovered rec-epoch.
+ * MNM backend (MnmBackend::crashReset: volatile state gone, the
+ * replication stream's included, modelled NVM truncated to its
+ * durable prefix, tables rebuilt from the sub-page headers), rebuilds
+ * the image via RecoveryManager, and verifies every tracked line
+ * byte-exactly against the shadow write tracker at the recovered
+ * rec-epoch. With replication on it then resumes the stream from its
+ * durable cursor, drains it, and checks the standby the same way at
+ * every epoch it applied (docs/REPLICATION.md).
  *
  * A trial runs a full workload under an armed persist domain, crashes
  * it — either by a FaultPlan trigger at the Nth hit of a named fault
@@ -39,11 +42,13 @@
 #define NVO_FAULT_CRASH_SIM_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/config.hh"
 #include "common/types.hh"
+#include "repl/replicator.hh"
 
 namespace nvo
 {
@@ -77,8 +82,21 @@ struct CrashReport
     std::uint64_t linesRestored = 0;
     /** Non-empty on structural recovery failure. */
     std::string error;
+    /** The standby's check, when the scheme replicates. */
+    std::optional<repl::Replicator::VerifyReport> standby;
 
-    bool consistent() const { return mismatches == 0 && error.empty(); }
+    /** The primary's recovered image alone. */
+    bool
+    primaryConsistent() const
+    {
+        return mismatches == 0 && error.empty();
+    }
+
+    bool
+    consistent() const
+    {
+        return primaryConsistent() && (!standby || standby->consistent());
+    }
 };
 
 /**
@@ -87,8 +105,10 @@ struct CrashReport
  * (`sim.track_writes`) saw with its last store at or before the
  * recovered rec-epoch. Mismatches count as in-flight skips only when
  * the persist domain is armed, the only time the backend acks
- * versions. Fills the recovery fields of the report; how the run was
- * cut (crashed, firedPoint, firedHit) is the caller's to set.
+ * versions. With a replicator, resume the stream, drain it and fill
+ * `standby` from Replicator::verify under the same skip rule. Fills
+ * the recovery fields of the report; how the run was cut (crashed,
+ * firedPoint, firedHit) is the caller's to set.
  */
 CrashReport crashAndRecover(System &sys);
 

@@ -616,6 +616,10 @@ MnmBackend::crashReset()
             part.buffer->drainAll();
         part.tables.clear();
     }
+    // The replication stream's send queue, in-flight frames and
+    // unpersisted cursor progress die with the primary.
+    if (replSink)
+        replSink->onCrash();
     // Truncate the modelled NVM back to the durable prefix, then
     // target the last fenced rec-epoch.
     nvm.persist().truncateToDurable();

@@ -45,7 +45,8 @@ class TenantManager;
  * epoch — *before* mergeUpTo retires the per-epoch tables, so the
  * sink can still drain each epoch's versions — and onLateVersion when
  * a version lands behind the recoverable epoch via the late-merge
- * path (the already-shipped epoch needs an amendment).
+ * path (the already-shipped epoch needs an amendment). crashReset
+ * calls onCrash: the stream's volatile state dies with the primary's.
  */
 class ReplSink
 {
@@ -55,6 +56,7 @@ class ReplSink
                                      Cycle now) = 0;
     virtual void onLateVersion(Addr line_addr, EpochWide oid,
                                const LineData &content, Cycle now) = 0;
+    virtual void onCrash() = 0;
 };
 
 class MnmBackend
@@ -158,7 +160,8 @@ class MnmBackend
      * to the durable prefix, rewind rec-epoch to the last fenced
      * value, and rebuild the tables from the surviving NVM image
      * (paper Sec. V-E). Disarmed, nothing is staged, so nothing
-     * durable is lost and only the tables' origin changes.
+     * durable is lost and only the tables' origin changes. An
+     * attached ReplSink loses its volatile state too (onCrash).
      */
     void crashReset();
 

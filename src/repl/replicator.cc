@@ -120,26 +120,14 @@ Replicator::congested(Cycle now)
     return true;
 }
 
-void
-Replicator::onCrash()
-{
-    link_->reset();
-    shipper_->onCrash();
-}
-
-std::uint64_t
-Replicator::resume(Cycle now)
-{
-    return shipper_->resume(now);
-}
-
 Replicator::VerifyReport
 Replicator::verify(const WriteTracker &tracker,
                    bool tolerate_inflight) const
 {
     VerifyReport rep;
     rep.appliedRec = replica_->appliedRecEpoch();
-    rep.converged = rep.appliedRec >= backend.recEpoch();
+    rep.primaryRec = backend.recEpoch();
+    rep.converged = rep.appliedRec >= rep.primaryRec;
     const MnmBackend &standby = replica_->backend();
     for (Addr line : tracker.trackedLines()) {
         for (EpochWide e = 1; e <= rep.appliedRec; ++e) {

@@ -68,13 +68,6 @@ class Replicator
 
     Cycle stallCycles() const { return p.stallCycles; }
 
-    /** Primary crash: everything in flight is lost. */
-    void onCrash();
-
-    /** Primary recovered (backend.crashReset() done): re-ship from
-     *  the durable cursor. Returns epochs re-shipped. */
-    std::uint64_t resume(Cycle now);
-
     struct VerifyReport
     {
         std::uint64_t linesChecked = 0;
@@ -83,12 +76,26 @@ class Replicator
          *  (legitimately lost in the late-merge window). */
         std::uint64_t inflightSkips = 0;
         EpochWide appliedRec = 0;
+        EpochWide primaryRec = 0;
         bool converged = false;   ///< replica caught up to primary
+        /** Set after a crash (fault::crashAndRecover): the cursor
+         *  durable at the crash and the epochs resume re-shipped. */
+        EpochWide durableCursor = 0;
+        std::uint64_t reshipped = 0;
+
+        /** Resume re-shipped every epoch although the cursor was
+         *  durable: the resume-from-cursor guarantee broke. */
+        bool
+        fullRestream() const
+        {
+            return durableCursor > 0 && primaryRec > 0 &&
+                   reshipped >= primaryRec;
+        }
 
         bool
         consistent() const
         {
-            return mismatches == 0 && converged;
+            return mismatches == 0 && converged && !fullRestream();
         }
     };
 

@@ -34,7 +34,7 @@ DeltaShipper::sendFrame(FrameType type, EpochWide epoch,
         f.payload = *payload;
     NVO_FAULT_POINT("repl.ship.frame");
     if (type == FrameType::LateDelta) {
-        lateLog.push_back({static_cast<Addr>(arg), epoch, f.frameId,
+        lateLog_.push_back({static_cast<Addr>(arg), epoch, f.frameId,
                            false});
         // The durable late log: one small append per amendment so a
         // crashed primary knows which amendments may still be
@@ -125,7 +125,7 @@ DeltaShipper::onFrameAcked(std::uint64_t frame_id, Cycle now)
         }
         return;
     }
-    for (auto &rec : lateLog)
+    for (auto &rec : lateLog_)
         if (rec.frameId == frame_id)
             rec.acked = true;
 }
@@ -153,10 +153,10 @@ DeltaShipper::persistCursor(Cycle now)
     durableCursor_ = cursor_;
     // The same record durably trims late amendments acked by now.
     std::size_t kept = 0;
-    for (auto &rec : lateLog)
+    for (auto &rec : lateLog_)
         if (!rec.acked)
-            lateLog[kept++] = rec;
-    lateLog.resize(kept);
+            lateLog_[kept++] = rec;
+    lateLog_.resize(kept);
     ++stats.repl.cursorPersists;
     NVO_TRACE(Repl, ReplCursorPersist, obs::trackRepl, now, cursor_,
               generation_);
@@ -165,6 +165,7 @@ DeltaShipper::persistCursor(Cycle now)
 void
 DeltaShipper::onCrash()
 {
+    link.reset();
     outstanding.clear();
     frameEpoch.clear();
     cursor_ = durableCursor_;
@@ -176,7 +177,6 @@ DeltaShipper::resume(Cycle now)
 {
     NVO_FAULT_POINT("repl.resume");
     ++generation_;
-    onCrash();
     ++stats.repl.resumes;
     EpochWide rec = backend.recEpoch();
     NVO_TRACE(Repl, ReplResume, obs::trackRepl, now, durableCursor_,
@@ -189,16 +189,19 @@ DeltaShipper::resume(Cycle now)
     }
 
     // Un-trimmed late amendments may have been lost in flight;
-    // re-ship them from the current recoverable image (idempotent on
-    // the replica). Every surviving entry counts as un-acked again —
-    // the pre-crash acks died with the link.
+    // re-ship each at the epoch it amended (idempotent on the
+    // replica). The standby may have applied that epoch already —
+    // it runs ahead of the durable cursor while its acks are in
+    // flight — and then ignores the epoch's re-shipped deltas, so
+    // the amendment is its only path. Every surviving entry counts
+    // as un-acked again — the pre-crash acks died with the link.
     std::vector<LateRec> pending;
-    pending.swap(lateLog);
+    pending.swap(lateLog_);
     for (const auto &rec_entry : pending) {
         LineData content;
         EpochWide found = 0;
-        if (!backend.readSnapshot(rec_entry.line, rec, content,
-                                  &found))
+        if (!backend.readSnapshot(rec_entry.line, rec_entry.epoch,
+                                  content, &found))
             continue;   // line no longer recoverable at all
         sendFrame(FrameType::LateDelta, found, rec_entry.line,
                   &content, now);

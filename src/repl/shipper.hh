@@ -15,10 +15,11 @@
  * Durability: the replication cursor is the highest epoch whose
  * frames are all acked with no unacked predecessor. It persists as a
  * small NVM record (Mapping write + fence) whenever it advances, and
- * pending late amendments keep a tiny durable log alongside it. On a
- * primary crash, resume() rewinds to the durable cursor, bumps the
- * stream generation, and re-extracts only (durableCursor, durableRec]
- * from the rebuilt tables — never a full restream.
+ * pending late amendments keep a tiny durable log alongside it. A
+ * primary crash (MnmBackend::crashReset -> onCrash) rewinds to the
+ * durable cursor; resume() then bumps the stream generation and
+ * re-extracts only (durableCursor, durableRec] from the rebuilt
+ * tables — never a full restream.
  */
 
 #ifndef NVO_REPL_SHIPPER_HH
@@ -64,28 +65,39 @@ class DeltaShipper : public ReplSink
                              Cycle now) override;
     void onLateVersion(Addr line_addr, EpochWide oid,
                        const LineData &content, Cycle now) override;
+    /** Primary crash: the link's queue and in-flight frames and the
+     *  unacked bookkeeping die; rewind to the durable cursor. */
+    void onCrash() override;
 
     /** Link completion: the receiver acked @p frame_id. */
     void onFrameAcked(std::uint64_t frame_id, Cycle now);
 
     /**
-     * Primary crash: volatile shipping state dies (the link was
-     * reset); rewind to the durable cursor.
-     */
-    void onCrash();
-
-    /**
      * After MnmBackend::crashReset() rebuilt the tables: bump the
      * stream generation and re-extract (durableCursor, durableRec]
-     * plus any un-trimmed late amendments. Returns the number of
-     * epochs re-shipped (the resume-from-cursor proof: strictly less
-     * than durableRec when the cursor had advanced).
+     * plus every un-trimmed late amendment, each at the epoch it
+     * amended. Returns the number of epochs re-shipped (the
+     * resume-from-cursor proof: strictly less than durableRec when
+     * the cursor had advanced).
      */
     std::uint64_t resume(Cycle now);
+
+    /** One durable late-amendment log entry: un-trimmed entries
+     *  re-ship on resume (their content survives in the NVM pool
+     *  image). */
+    struct LateRec
+    {
+        Addr line;
+        /** The epoch the amendment amended. */
+        EpochWide epoch;
+        std::uint64_t frameId;
+        bool acked = false;
+    };
 
     EpochWide cursor() const { return cursor_; }
     EpochWide durableCursor() const { return durableCursor_; }
     std::uint32_t generation() const { return generation_; }
+    const std::vector<LateRec> &lateLog() const { return lateLog_; }
 
   private:
     void shipEpoch(EpochWide e, Cycle now);
@@ -111,16 +123,7 @@ class DeltaShipper : public ReplSink
     /** frame id -> epoch for regular in-flight frames. */
     std::map<std::uint64_t, EpochWide> frameEpoch;
 
-    /** Durable late-amendment log: un-trimmed entries re-ship on
-     *  resume (their content survives in the NVM pool image). */
-    struct LateRec
-    {
-        Addr line;
-        EpochWide epoch;
-        std::uint64_t frameId;
-        bool acked = false;
-    };
-    std::vector<LateRec> lateLog;
+    std::vector<LateRec> lateLog_;
 };
 
 } // namespace repl

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/log.hh"
 #include "fault/crash_sim.hh"
 #include "fault/fault.hh"
@@ -59,6 +62,38 @@ TEST(CrashSim, PowerCutAtCycleRecoversConsistently)
     }
 }
 
+TEST(CrashSim, PlanThatNeverFiresVerifiesFinalImage)
+{
+    // A plan that never fires, by cycle or by fault point, lets the
+    // run complete with a clean finalize, so the check sees the
+    // final image of a completed run.
+    Config cfg = smallConfig();
+    cfg.set("sim.track_writes", "true");
+    cfg.set("persist.armed", "true");
+    System sys(cfg, "nvoverlay", "btree");
+    sys.run();
+    const fault::CrashReport completed = fault::crashAndRecover(sys);
+    ASSERT_GT(completed.linesChecked, 0u);
+
+    std::vector<fault::CrashPlan> plans(1);
+    plans[0].cycle = 1ull << 40;   // far beyond the run's last cycle
+    if (fault::enabled) {
+        plans.emplace_back();
+        plans[1].point = "omc.insert";
+        plans[1].hit = 1ull << 40;   // far beyond any real hit count
+    }
+    fault::CrashSimulator sim(cfg, "nvoverlay", "btree");
+    for (const fault::CrashPlan &plan : plans) {
+        fault::CrashReport rep = sim.run(plan);
+        const std::string kind = plan.point.empty() ? "cycle" : "point";
+        EXPECT_FALSE(rep.crashed) << kind;
+        EXPECT_TRUE(rep.firedPoint.empty()) << kind;
+        EXPECT_TRUE(rep.consistent()) << kind;
+        EXPECT_EQ(rep.recEpoch, completed.recEpoch) << kind;
+        EXPECT_EQ(rep.linesChecked, completed.linesChecked) << kind;
+    }
+}
+
 TEST(CrashSim, CampaignPassesOnHealthyProtocol)
 {
     Config cfg = smallConfig();
@@ -88,19 +123,6 @@ TEST(CrashSim, PointCrashUnwindsMidOperation)
     EXPECT_TRUE(rep.consistent())
         << rep.mismatches << " mismatches, error '" << rep.error
         << "'";
-}
-
-TEST(CrashSim, PlanThatNeverFiresVerifiesFinalImage)
-{
-    Config cfg = smallConfig();
-    fault::CrashSimulator sim(cfg, "nvoverlay", "btree");
-    fault::CrashPlan plan;
-    plan.point = "omc.insert";
-    plan.hit = 1ull << 40;   // far beyond any real hit count
-    fault::CrashReport rep = sim.run(plan);
-    EXPECT_FALSE(rep.crashed);
-    EXPECT_TRUE(rep.consistent());
-    EXPECT_GT(rep.linesChecked, 0u);
 }
 
 TEST(CrashSim, TransientNvmErrorsAreRetried)

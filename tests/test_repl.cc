@@ -17,6 +17,7 @@
 
 #include "common/log.hh"
 #include "common/rng.hh"
+#include "fault/crash_sim.hh"
 #include "harness/experiment.hh"
 #include "harness/system.hh"
 #include "nvoverlay/nvoverlay_scheme.hh"
@@ -221,6 +222,65 @@ TEST(ReplWire, FuzzedStreamNeverDesynchronizesPermanently)
     EXPECT_TRUE(sawTail);
 }
 
+TEST(ReplWire, LongFuzzSmokeNeverWedgesTheDecoder)
+{
+    // 200 k frames with random payloads, each fed untouched, with one
+    // byte flipped, truncated, or behind up to 63 junk bytes, in
+    // equal shares.
+    constexpr std::uint64_t rounds = 200000;
+    Rng rng(2021);
+    Decoder dec;
+    std::uint64_t intact = 0;
+    for (std::uint64_t r = 0; r < rounds; ++r) {
+        Frame f;
+        f.type = (r % 5 == 0) ? FrameType::EpochClose
+                              : FrameType::Delta;
+        f.generation = static_cast<std::uint32_t>(r / 100 + 1);
+        f.epoch = r / 10 + 1;
+        f.arg = 0x1000 + 64 * r;
+        f.frameId = r + 1;
+        for (auto &byte : f.payload.bytes)
+            byte = static_cast<std::uint8_t>(rng.next() & 0xFF);
+        auto bytes = encode(f);
+        switch (rng.next() % 4) {
+        case 0:
+            bytes[rng.next() % bytes.size()] ^=
+                static_cast<std::uint8_t>(1 + rng.next() % 255);
+            break;
+        case 1:
+            bytes.resize(1 + rng.next() % bytes.size());
+            break;
+        case 2: {
+            std::vector<std::uint8_t> junk(rng.next() % 64);
+            for (auto &byte : junk)
+                byte = static_cast<std::uint8_t>(rng.next() & 0xFF);
+            bytes.insert(bytes.begin(), junk.begin(), junk.end());
+            ++intact;
+            break;
+        }
+        default:
+            ++intact;
+            break;
+        }
+        dec.feed(bytes);
+        while (auto got = dec.poll())
+            ASSERT_EQ(got->arg, 0x1000u + 64 * (got->frameId - 1));
+    }
+    EXPECT_GE(dec.framesDecoded(), intact / 2);
+    EXPECT_GT(dec.resyncs(), 0u);
+    // Whatever the fuzz left buffered cannot wedge the stream: a
+    // pristine frame at the end always decodes.
+    Frame probe;
+    probe.type = FrameType::EpochClose;
+    probe.epoch = 1;
+    probe.frameId = ~0ull;
+    dec.feed(encode(probe));
+    bool alive = false;
+    while (auto got = dec.poll())
+        alive |= got->frameId == ~0ull;
+    EXPECT_TRUE(alive);
+}
+
 // ---------------------------------------------------------------
 // Async link
 // ---------------------------------------------------------------
@@ -414,32 +474,26 @@ TEST(ReplSystem, CrashResumeReshipsOnlyFromDurableCursor)
 
     System sys(cfg, "nvoverlay", "btree");
     ASSERT_FALSE(sys.runUntil(total / 2));   // power cut mid-run
-    auto &rep = replicatorOf(sys);
-    auto &scheme = dynamic_cast<NVOverlayScheme &>(sys.scheme());
-
-    rep.onCrash();
-    scheme.backend().crashReset();
-    EpochWide rec = scheme.backend().recEpoch();
-    EpochWide durable = rep.shipper().durableCursor();
+    const fault::CrashReport report = fault::crashAndRecover(sys);
+    ASSERT_TRUE(report.standby.has_value());
+    const auto &standby = *report.standby;
+    EpochWide rec = report.recEpoch;
     ASSERT_GT(rec, 0u);
-    ASSERT_GT(durable, 0u)
+    ASSERT_GT(standby.durableCursor, 0u)
         << "crash landed before any epoch was acked; move the "
            "crash point";
 
-    std::uint64_t reshipped = rep.resume(sys.now());
-    Cycle done = rep.drain(sys.now());
-
     // The resume-from-cursor proof: only (durableCursor, rec] went
     // over the wire again — not the whole history.
-    EXPECT_EQ(reshipped, rec - durable);
-    EXPECT_LT(reshipped, rec);
-    EXPECT_EQ(rep.replica().appliedRecEpoch(), rec);
-    EXPECT_GT(rep.shipper().generation(), 1u);
+    EXPECT_EQ(standby.reshipped, rec - standby.durableCursor);
+    EXPECT_LT(standby.reshipped, rec);
+    EXPECT_EQ(standby.appliedRec, rec);
+    EXPECT_GT(replicatorOf(sys).shipper().generation(), 1u);
 
-    auto report = rep.verify(*sys.tracker(), true);
     EXPECT_TRUE(report.consistent())
-        << report.mismatches << " mismatches at applied epoch "
-        << report.appliedRec << " (drained at " << done << ")";
+        << standby.mismatches << " standby mismatches at applied "
+        << "epoch " << standby.appliedRec << ", " << report.mismatches
+        << " primary mismatches";
 }
 
 TEST(ReplSystem, PrematureCursorBugIsCaughtByConvergenceCheck)
@@ -459,24 +513,51 @@ TEST(ReplSystem, PrematureCursorBugIsCaughtByConvergenceCheck)
     System sys(cfg, "nvoverlay", "btree");
     ASSERT_FALSE(sys.runUntil(total / 2));
     auto &rep = replicatorOf(sys);
-    auto &scheme = dynamic_cast<NVOverlayScheme &>(sys.scheme());
-
-    rep.onCrash();
-    scheme.backend().crashReset();
-    EpochWide rec = scheme.backend().recEpoch();
-    EpochWide durable = rep.shipper().durableCursor();
-    ASSERT_GT(durable, rep.replica().appliedRecEpoch())
+    ASSERT_GT(rep.shipper().durableCursor(),
+              rep.replica().appliedRecEpoch())
         << "bug did not manifest: every shipped epoch was already "
            "applied; slow the link down further";
 
-    rep.resume(sys.now());
-    rep.drain(sys.now());
-
     // The buggy cursor told resume those epochs were safe on the
     // standby; they never arrived, so the stream must NOT converge.
-    auto report = rep.verify(*sys.tracker(), true);
-    EXPECT_FALSE(report.converged);
-    EXPECT_LT(rep.replica().appliedRecEpoch(), rec);
+    const fault::CrashReport report = fault::crashAndRecover(sys);
+    ASSERT_TRUE(report.standby.has_value());
+    EXPECT_FALSE(report.standby->converged);
+    EXPECT_LT(report.standby->appliedRec, report.recEpoch);
+    EXPECT_FALSE(report.consistent());
+}
+
+TEST(ReplSystem, ResumeReshipsLateAmendmentAtItsOwnEpoch)
+{
+    // A late amendment still in flight at the crash, for an epoch
+    // the standby had already applied: the standby ignores that
+    // epoch's re-shipped deltas, so the re-shipped amendment must
+    // carry the version of the epoch it amended, not the line's
+    // newest recoverable one. This config and cut reproduce it.
+    setQuiet(true);
+    Config cfg = cfgRepl("btree");
+    cfg.set("rng.seed", std::uint64_t(2021));
+    cfg.set("repl.window", std::uint64_t(256));
+    cfg.set("persist.armed", "true");
+
+    System sys(cfg, "nvoverlay", "btree");
+    ASSERT_FALSE(sys.runUntil(352000));
+    auto &rep = replicatorOf(sys);
+    const EpochWide applied = rep.replica().appliedRecEpoch();
+    bool amends_applied_epoch = false;
+    for (const auto &late : rep.shipper().lateLog())
+        amends_applied_epoch |= late.epoch <= applied;
+    ASSERT_TRUE(amends_applied_epoch)
+        << "no un-trimmed late amendment for an epoch the standby "
+           "applied (standby at epoch "
+        << applied << "); the cut no longer exercises resume's "
+        << "late-amendment path";
+
+    const fault::CrashReport report = fault::crashAndRecover(sys);
+    ASSERT_TRUE(report.standby.has_value());
+    EXPECT_GT(report.standby->linesChecked, 0u);
+    EXPECT_EQ(report.standby->mismatches, 0u);
+    EXPECT_TRUE(report.consistent());
 }
 
 TEST(ReplSystem, DisabledByDefaultCostsNothing)

@@ -13,7 +13,12 @@
  *           stats_json=stats.json
  *   nvo_sim crash_campaign=50 campaign.workloads=btree,kmeans rng.seed=7
  *   nvo_sim workload=btree crash_point=omc.merge.version crash_hit=3
+ *   nvo_sim repl.enabled=1 crash_cycle=500000 repl.drop_rate=0.01
  *   nvo_sim list
+ *
+ * With `repl.enabled=1` every crash check (verify=1, crash_cycle=,
+ * crash_point=, crash_campaign=) also resumes the replication stream
+ * from its durable cursor and checks the standby byte-exact.
  */
 
 #include <chrono>
@@ -70,6 +75,10 @@ usage()
         "line; exits 1\n"
         "                     on a mismatch or when no line was "
         "checked\n"
+        "                     (with repl.enabled=1 every crash "
+        "check also\n"
+        "                     resumes the stream and checks the "
+        "standby)\n"
         "  trace_out=<path>   write the event trace as Chrome "
         "trace-event JSON\n"
         "                     (implies trace.enabled=1; open in "
@@ -89,14 +98,14 @@ usage()
 }
 
 /**
- * The one verdict line of a single crash trial or `verify=1` run;
- * returns the exit code. A check that compared no line proves
- * nothing, so it fails too.
+ * The verdict line of a single crash trial or `verify=1` run, and the
+ * standby's when the run replicates; returns the exit code. A check
+ * that compared no line proves nothing, so it fails too.
  */
 int
 printVerdict(const fault::CrashReport &rep)
 {
-    const char *verdict = !rep.consistent()      ? "INCONSISTENT"
+    const char *verdict = !rep.primaryConsistent() ? "INCONSISTENT"
                           : rep.linesChecked == 0 ? "NOTHING RECOVERABLE"
                                                   : "CONSISTENT";
     std::printf("recovery check: %s at %s:%llu, rec-epoch=%llu, "
@@ -111,7 +120,30 @@ printVerdict(const fault::CrashReport &rep)
                 static_cast<unsigned long long>(rep.inflightSkips),
                 rep.error.empty() ? "" : ", recovery error: ",
                 rep.error.c_str(), verdict);
-    return rep.consistent() && rep.linesChecked > 0 ? 0 : 1;
+    bool checked = rep.linesChecked > 0;
+    if (const auto &sb = rep.standby) {
+        const char *sb_verdict =
+            sb->mismatches > 0      ? "INCONSISTENT"
+            : !sb->converged        ? "NOT CONVERGED"
+            : sb->fullRestream()    ? "FULL RESTREAM"
+            : sb->linesChecked == 0 ? "NOTHING RECOVERABLE"
+                                    : "CONSISTENT";
+        std::printf("standby check: cursor durable at epoch %llu, "
+                    "re-shipped %llu of %llu epochs, %llu (line, "
+                    "epoch) reads, %llu mismatches, %llu in-flight "
+                    "skips, standby at epoch %llu of %llu -> %s\n",
+                    static_cast<unsigned long long>(sb->durableCursor),
+                    static_cast<unsigned long long>(sb->reshipped),
+                    static_cast<unsigned long long>(sb->primaryRec),
+                    static_cast<unsigned long long>(sb->linesChecked),
+                    static_cast<unsigned long long>(sb->mismatches),
+                    static_cast<unsigned long long>(sb->inflightSkips),
+                    static_cast<unsigned long long>(sb->appliedRec),
+                    static_cast<unsigned long long>(sb->primaryRec),
+                    sb_verdict);
+        checked = checked && sb->linesChecked > 0;
+    }
+    return rep.consistent() && checked ? 0 : 1;
 }
 
 } // namespace
