@@ -36,10 +36,9 @@ main(int argc, char **argv)
     Config cfg = bench::benchConfig(argc, argv);
     // Metadata efficiency depends on page occupancy, which grows with
     // run length; give this (cheap, NVOverlay-only) figure 2x ops and
-    // let the backend reclaim stale epochs so host memory stays flat.
+    // drop merged per-epoch tables so host memory stays flat.
     cfg.set("wl.ops", cfg.getU64("wl.ops", bench::defaultOps) * 2);
     cfg.set("mnm.drop_merged_tables", "true");
-    cfg.set("mnm.auto_reclaim", "true");
     report.setConfig(cfg);
 
     std::printf("Figure 13 — Mmaster size as %% of write working set "

@@ -154,7 +154,7 @@ main(int argc, char **argv)
     std::printf("policy: %" PRIu64 " evals, %" PRIu64
                 " epoch actuations, final len %" PRIu64 "\n",
                 pe ? pe->evals() : 0,
-                pe ? pe->actuator().epochSets() : 0,
+                pe ? pe->epochSets() : 0,
                 sys.stats().extra.count("policy_epoch_len")
                     ? sys.stats().extra.at("policy_epoch_len")
                     : 0);

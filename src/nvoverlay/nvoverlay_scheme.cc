@@ -39,7 +39,6 @@ NVOverlayScheme::NVOverlayScheme(const Config &cfg, NvmModel &nvm_model,
         cfg.getF64("mnm.compaction_threshold", 1.0);
     mnmParams.dropMergedTables =
         cfg.getBool("mnm.drop_merged_tables", false);
-    mnmParams.autoReclaim = cfg.getBool("mnm.auto_reclaim", false);
     mnmParams.maxDeviceRetries = static_cast<unsigned>(
         cfg.getU64("mnm.max_device_retries", 8));
     mnmParams.testSkipRecBarrier =

@@ -126,13 +126,6 @@ MnmBackend::insertVersion(Addr line_addr, EpochWide oid, SeqNo seq,
     if (tm_)
         tm_->onInsert(asid, lineBytes, now);
 
-    // Compaction pressure check (Sec. V-D / storage quota, Sec. V-F).
-    if (p.compactionThreshold < 1.0 &&
-        part.pool->utilization() >= p.compactionThreshold) {
-        compact(now);
-        ++stats.gcCompactions;
-    }
-
     // When buffered, the 64 B version write is deferred until the
     // buffer evicts the (addr, epoch) slot.
     const bool buffered = part.buffer && !bufferBypass;
@@ -304,12 +297,8 @@ MnmBackend::unref(unsigned oidx, Part &part, Addr line_addr,
         return;
     EpochTable::PageEntry *pe =
         it->second->pageEntry(pageAlign(line_addr));
-    if (!pe || pe->reclaimed || pe->liveMaster == 0)
-        return;
-    --pe->liveMaster;
-    if (pe->liveMaster == 0 && p.autoReclaim &&
-        old_entry.epoch <= recEpoch_)
-        reclaimSubPage(part, *pe);
+    if (pe && !pe->reclaimed && pe->liveMaster > 0)
+        --pe->liveMaster;
 }
 
 void
@@ -428,8 +417,6 @@ MnmBackend::reportMinVer(unsigned vd, EpochWide min_ver, Cycle now)
     if (candidate <= recEpoch_)
         return;
 
-    // rec-epoch moves first so GC sees the new bound while merge
-    // replacements dereference stale versions.
     NVO_FAULT_POINT("omc.rec_epoch.advance");
     EpochWide old_rec = recEpoch_;
     NVO_TRACE(Merge, RecEpochAdvance, obs::trackSim, now, candidate,
@@ -442,6 +429,15 @@ MnmBackend::reportMinVer(unsigned vd, EpochWide min_ver, Cycle now)
         replSink->onEpochsRecoverable(old_rec, candidate, now);
     mergeUpTo(old_rec, candidate, now);
     persistRecEpoch(now);
+    // Storage pressure (paper Sec. V-D): while the pool stays at or
+    // above the threshold, each advance runs one compaction pass.
+    if (p.compactionThreshold < 1.0 &&
+        static_cast<double>(poolPagesInUseTotal()) >=
+            p.compactionThreshold *
+                static_cast<double>(poolPagesTotal())) {
+        compact(now);
+        ++stats.gcCompactions;
+    }
 }
 
 void

@@ -72,17 +72,20 @@ class MnmBackend
         bool useBuffer = false;
         OmcBuffer::Params buffer;
         /**
-         * Pool utilization that triggers version compaction; >= 1.0
-         * disables compaction (the pool auto-extends instead, i.e.,
-         * the OS keeps granting pages).
+         * Storage pressure (paper Sec. V-D): while the pool pages in
+         * use, summed over partitions, are at least this fraction of
+         * the pool's pages, each rec-epoch advance runs one
+         * compaction pass; an exhausted partition also compacts
+         * before it extends. >= 1.0 disables compaction (the pool
+         * auto-extends instead, i.e., the OS keeps granting pages).
          */
         double compactionThreshold = 1.0;
         std::uint64_t extendPages = 16384;
         /** Free per-epoch tables once merged (disables time travel
-         *  into merged epochs unless the master still maps them). */
+         *  into merged epochs unless the master still maps them).
+         *  The GC refcounts go with the tables, so compaction never
+         *  reclaims the dropped epochs' sub-pages. */
         bool dropMergedTables = false;
-        /** Reclaim sub-pages whose versions all became stale. */
-        bool autoReclaim = false;
         /** Transient NVM write errors tolerated per device write
          *  before the drain path gives up (fault injection). */
         unsigned maxDeviceRetries = 8;
@@ -124,7 +127,9 @@ class MnmBackend
     /**
      * A tag walker finished draining: VD @p vd certifies that all its
      * dirty versions older than @p min_ver are persistent. May
-     * advance the recoverable epoch and merge tables into the master.
+     * advance the recoverable epoch and merge tables into the master;
+     * an advance under storage pressure then runs one compaction
+     * pass (Params::compactionThreshold).
      */
     void reportMinVer(unsigned vd, EpochWide min_ver, Cycle now);
 
@@ -150,7 +155,10 @@ class MnmBackend
     /** Clean shutdown: drain buffers and flush pending metadata. */
     Cycle finalize(Cycle now);
 
-    /** Run one compaction pass on every partition (paper Sec. V-D). */
+    /** Run one compaction pass on every partition (paper Sec. V-D):
+     *  reclaim the oldest merged epochs whose versions are all stale,
+     *  then copy the next one's live versions forward into
+     *  rec-epoch's table and reclaim it. */
     void compact(Cycle now);
 
     /**

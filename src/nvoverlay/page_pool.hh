@@ -116,14 +116,6 @@ class PagePool : private PersistDomain::Journal
         const std::function<void(tenant::Asid, std::uint64_t)> &fn)
         const;
 
-    /** Fraction of pool pages currently holding data. */
-    double
-    utilization() const
-    {
-        return numPages ? static_cast<double>(usedPages) / numPages
-                        : 0.0;
-    }
-
     /** Round @p lines up to an allocatable power of two. */
     static unsigned roundLines(unsigned lines);
 

@@ -18,19 +18,5 @@ PidController::step(std::int64_t measured)
     return out;
 }
 
-bool
-HysteresisController::step(std::int64_t measured)
-{
-    bool next = state_;
-    if (!state_ && measured >= p.hi)
-        next = true;
-    else if (state_ && measured <= p.lo)
-        next = false;
-    if (next != state_)
-        ++transitions_;
-    state_ = next;
-    return state_;
-}
-
 } // namespace policy
 } // namespace nvo

@@ -1,11 +1,11 @@
 /**
  * @file
- * Deterministic feedback controllers for the adaptive policy engine.
+ * Deterministic feedback controller for the adaptive policy engine.
  *
- * Every controller is a pure function of its own state and the
- * measured input — no clocks, no floating point, no randomness — so a
- * controller stepped with the same sequence of measurements produces
- * the same sequence of outputs on any host. Gains are expressed as
+ * The controller is a pure function of its own state and the
+ * measured input — no clocks, no floating point, no randomness — so
+ * stepped with the same sequence of measurements it produces the
+ * same sequence of outputs on any host. Gains are expressed as
  * integer numerators over a fixed power-of-two denominator
  * (`kGainDen`), which keeps the arithmetic exact and the step
  * responses hand-computable in unit tests (see docs/POLICY.md for the
@@ -77,50 +77,6 @@ class PidController
     PidParams p;
     std::int64_t integ_ = 0;
     std::int64_t lastErr_ = 0;
-};
-
-struct HysteresisParams
-{
-    /** Engage when measured >= hi. */
-    std::int64_t hi = 0;
-    /** Release when measured <= lo (lo < hi for a real band). */
-    std::int64_t lo = 0;
-    bool initial = false;
-};
-
-/**
- * Two-threshold hysteresis (Schmitt trigger): engaged when the
- * measured signal rises to `hi`, released when it falls back to `lo`.
- * The dead band between the thresholds prevents actuation flapping
- * when the signal hovers near a single threshold.
- */
-class HysteresisController
-{
-  public:
-    explicit HysteresisController(const HysteresisParams &params)
-        : p(params), state_(params.initial)
-    {
-    }
-
-    bool step(std::int64_t measured);
-
-    bool engaged() const { return state_; }
-    const HysteresisParams &params() const { return p; }
-
-    void
-    reset()
-    {
-        state_ = p.initial;
-        transitions_ = 0;
-    }
-
-    /** Engage/release edges seen since construction or reset(). */
-    std::uint64_t transitions() const { return transitions_; }
-
-  private:
-    HysteresisParams p;
-    bool state_;
-    std::uint64_t transitions_ = 0;
 };
 
 } // namespace policy

@@ -14,16 +14,6 @@ namespace nvo
 namespace policy
 {
 
-const char *
-toString(Ctrl c)
-{
-    switch (c) {
-      case Ctrl::Epoch: return "epoch";
-      case Ctrl::Compact: return "compact";
-      default: return "?";
-    }
-}
-
 Params
 Params::fromConfig(const Config &cfg)
 {
@@ -35,12 +25,6 @@ Params::fromConfig(const Config &cfg)
         cfg.getU64("policy.epoch.ki", 1));
     p.epochMin = cfg.getU64("policy.epoch.min", 16);
     p.epochMax = cfg.getU64("policy.epoch.max", 1024);
-    p.compactHi = static_cast<std::int64_t>(
-        cfg.getU64("policy.compact.hi", 0));
-    p.compactLo = static_cast<std::int64_t>(
-        cfg.getU64("policy.compact.lo", 0));
-    p.compactSlopeW = static_cast<std::int64_t>(
-        cfg.getU64("policy.compact.slope_w", 4));
     return p;
 }
 
@@ -74,60 +58,47 @@ epochPidParams(const Params &p)
 
 PolicyEngine::PolicyEngine(NVOverlayScheme &scheme,
                            const RunStats &stats, const Params &params)
-    : scheme_(scheme), p_(params), bus_(scheme, stats), act_(scheme),
+    : scheme_(scheme), stats_(stats), p_(params),
       epochPid_(epochPidParams(params)),
-      compactHys_({params.compactHi, params.compactLo, false})
+      output_(scheme.storesPerEpochVdValue())
 {
-    epochGauge_.setpoint = p_.bwBudget;
-    epochGauge_.output = scheme_.storesPerEpochVdValue();
-    compactGauge_.setpoint = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(p_.compactHi, 0));
     registerGauges();
 }
 
 void
 PolicyEngine::registerGauges()
 {
+    if (p_.bwBudget == 0)
+        return;
     auto &reg = obs::metricRegistry();
-    struct Row
-    {
-        Ctrl c;
-        bool enabled;
-        const GaugeSet *gauge;
-    };
-    const Row rows[] = {
-        {Ctrl::Epoch, p_.bwBudget > 0, &epochGauge_},
-        {Ctrl::Compact, p_.compactHi > 0, &compactGauge_},
-    };
-    for (const Row &r : rows) {
-        if (!r.enabled)
-            continue;
-        const std::string base =
-            std::string("policy.") + toString(r.c);
-        const GaugeSet *g = r.gauge;
-        reg.addGauge(base + ".setpoint",
-                     [g] { return g->setpoint; });
-        reg.addGauge(base + ".measured",
-                     [g] { return g->measured; });
-        reg.addGauge(base + ".output", [g] { return g->output; });
-    }
+    reg.addGauge("policy.epoch.setpoint", [this] { return p_.bwBudget; });
+    reg.addGauge("policy.epoch.measured", [this] { return measured_; });
+    reg.addGauge("policy.epoch.output", [this] { return output_; });
 }
 
 void
 PolicyEngine::onEpochBoundary(Cycle now)
 {
     ++evals_;
-    Signals s = bus_.sample(now);
-    if (!s.valid)
-        return;   // first boundary primes the frame history
-    if (p_.bwBudget)
-        stepEpochPacer(now, s);
-    if (p_.compactHi > 0)
-        stepCompact(now, s);
+    // Bandwidth over the interval since the previous boundary; the
+    // first boundary (or one at the same cycle) only takes a sample.
+    const std::uint64_t bytes = stats_.totalNvmWriteBytes();
+    const bool have_interval = sampled_ && now > prevCycle_;
+    const std::uint64_t delta_cycles = now - prevCycle_;
+    const std::uint64_t delta_bytes = bytes - prevNvmBytes_;
+    sampled_ = true;
+    prevCycle_ = now;
+    prevNvmBytes_ = bytes;
+    if (have_interval && p_.bwBudget)
+        stepEpochPacer(now,
+                       static_cast<std::int64_t>(delta_bytes * 1024 /
+                                                 delta_cycles),
+                       delta_cycles);
 }
 
 void
-PolicyEngine::stepEpochPacer(Cycle now, const Signals &s)
+PolicyEngine::stepEpochPacer(Cycle now, std::int64_t bw,
+                             std::uint64_t delta_cycles)
 {
     // err = budget - measured. Over budget (err < 0) the output goes
     // negative and the subtraction below *lengthens* the epoch:
@@ -142,11 +113,11 @@ PolicyEngine::stepEpochPacer(Cycle now, const Signals &s)
     // samples and bias the loop.
     constexpr std::int64_t kEmaWindow = 1 << 20;
     if (bwEma_ < 0) {
-        bwEma_ = s.bwBytesPerKCycle;
+        bwEma_ = bw;
     } else {
         std::int64_t dc = std::min<std::int64_t>(
-            static_cast<std::int64_t>(s.deltaCycles), kEmaWindow);
-        bwEma_ += dc * (s.bwBytesPerKCycle - bwEma_) / kEmaWindow;
+            static_cast<std::int64_t>(delta_cycles), kEmaWindow);
+        bwEma_ += dc * (bw - bwEma_) / kEmaWindow;
     }
     std::int64_t out = epochPid_.step(bwEma_);
     std::int64_t cur = static_cast<std::int64_t>(
@@ -157,46 +128,31 @@ PolicyEngine::stepEpochPacer(Cycle now, const Signals &s)
     std::int64_t delta = (out * cur) / 1024;
     if (delta == 0 && out != 0)
         delta = out > 0 ? 1 : -1;
-    std::int64_t next = cur - delta;
-    if (next < 0)
-        next = 0;   // actuator clamps up to epochMin
-    std::uint64_t applied = act_.setEpochLength(
-        now, static_cast<std::uint64_t>(next), p_.epochMin,
-        p_.epochMax);
+    std::int64_t next = std::max<std::int64_t>(cur - delta, 0);
+    // The one knob write: clamped, and counted and traced only when
+    // it changes the length.
+    const std::uint64_t applied = std::clamp(
+        static_cast<std::uint64_t>(next), p_.epochMin, p_.epochMax);
+    if (applied != scheme_.storesPerEpochVdValue()) {
+        scheme_.setStoresPerEpochVd(applied);
+        ++epochSets_;
+        NVO_TRACE(Policy, PolicyActuate, obs::trackSim, now,
+                  kEpochPacerId, applied);
+    }
     NVO_TRACE(Policy, PolicyDecision, obs::trackSim, now,
-              static_cast<std::uint64_t>(Ctrl::Epoch), applied);
-    epochGauge_.measured =
+              kEpochPacerId, applied);
+    measured_ =
         static_cast<std::uint64_t>(std::max<std::int64_t>(bwEma_, 0));
-    epochGauge_.output = applied;
-}
-
-void
-PolicyEngine::stepCompact(Cycle now, const Signals &s)
-{
-    // Projected occupancy: where the pool is heading, not just where
-    // it is — a fast-rising pool triggers compaction before the
-    // threshold itself is crossed.
-    std::int64_t projected =
-        s.occPermille + p_.compactSlopeW * s.occSlopePermille;
-    bool hot = compactHys_.step(projected);
-    if (hot)
-        act_.triggerCompaction(now);
-    NVO_TRACE(Policy, PolicyDecision, obs::trackSim, now,
-              static_cast<std::uint64_t>(Ctrl::Compact),
-              hot ? 1u : 0u);
-    compactGauge_.measured = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(projected, 0));
-    compactGauge_.output = hot ? 1 : 0;
+    output_ = applied;
 }
 
 void
 PolicyEngine::exportStats(RunStats &stats) const
 {
     stats.extra["policy_evals"] = evals_;
-    stats.extra["policy_epoch_sets"] = act_.epochSets();
+    stats.extra["policy_epoch_sets"] = epochSets_;
     stats.extra["policy_epoch_len"] =
         scheme_.storesPerEpochVdValue();
-    stats.extra["policy_compactions"] = act_.compactions();
 }
 
 void
@@ -205,28 +161,13 @@ PolicyEngine::writeJson(obs::JsonWriter &w) const
     w.beginObject();
     w.kv("evals", evals_);
     w.key("controllers").beginObject();
-    struct Row
-    {
-        Ctrl c;
-        bool enabled;
-        const GaugeSet *gauge;
-        std::uint64_t actuations;
-    };
-    const Row rows[] = {
-        {Ctrl::Epoch, p_.bwBudget > 0, &epochGauge_, act_.epochSets()},
-        {Ctrl::Compact, p_.compactHi > 0, &compactGauge_,
-         act_.compactions()},
-    };
-    for (const Row &r : rows) {
-        const GaugeSet &g = *r.gauge;
-        w.key(toString(r.c)).beginObject();
-        w.kv("enabled", r.enabled);
-        w.kv("setpoint", g.setpoint);
-        w.kv("measured", g.measured);
-        w.kv("output", g.output);
-        w.kv("actuations", r.actuations);
-        w.endObject();
-    }
+    w.key("epoch").beginObject();
+    w.kv("enabled", p_.bwBudget > 0);
+    w.kv("setpoint", p_.bwBudget);
+    w.kv("measured", measured_);
+    w.kv("output", output_);
+    w.kv("actuations", epochSets_);
+    w.endObject();
     w.endObject();
     w.endObject();
 }

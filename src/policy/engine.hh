@@ -4,20 +4,18 @@
  * protocol (docs/POLICY.md).
  *
  * Evaluated by the harness at every epoch boundary, the engine runs
- * up to two controllers over the SignalBus's derived signals:
+ * one controller, the epoch pacer: a PI controller stretches/shrinks
+ * the per-VD epoch length to hold NVM write bandwidth at
+ * `nvm.write_bw_budget` (longer epochs -> fewer context dumps, merges
+ * and re-walks of the same line -> less metadata bandwidth, and vice
+ * versa). Storage pressure is the backend's own mechanism
+ * (`mnm.compaction_threshold`), not the engine's.
  *
- *  - epoch pacer: a PI controller stretches/shrinks the per-VD epoch
- *    length to hold NVM write bandwidth at `nvm.write_bw_budget`
- *    (longer epochs -> fewer context dumps, merges and re-walks of
- *    the same line -> less metadata bandwidth, and vice versa);
- *  - compaction governor: hysteresis on pool occupancy plus a
- *    weighted occupancy slope triggers backend compaction passes
- *    while the projected occupancy stays above the high threshold.
- *
- * Every decision is a pure function of sampled simulated state, so
- * runs are byte-identical from host to host; with `policy.enabled`
- * unset nothing here is constructed and every existing output stays
- * byte-unchanged.
+ * The engine keeps its previous (cycle, total NVM write bytes) sample
+ * and measures bandwidth as the difference, so every decision is a
+ * pure function of sampled simulated state and runs are byte-identical
+ * from host to host; with `policy.enabled` unset nothing here is
+ * constructed and every existing output stays byte-unchanged.
  */
 
 #ifndef NVO_POLICY_ENGINE_HH
@@ -26,9 +24,7 @@
 #include <cstdint>
 
 #include "common/types.hh"
-#include "policy/actuator.hh"
 #include "policy/controller.hh"
-#include "policy/signal.hh"
 
 namespace nvo
 {
@@ -45,16 +41,11 @@ class JsonWriter;
 namespace policy
 {
 
-/** Controller identifiers (`policy_decision` trace a0, gauge names).
- *  The values are stable trace ids, so a recorded trace decodes
- *  across versions; 1 and 3 belonged to retired controllers. */
-enum class Ctrl : std::uint64_t
-{
-    Epoch = 0,
-    Compact = 2,
-};
-
-const char *toString(Ctrl c);
+/** The pacer's id in `policy_decision` (controller) and
+ *  `policy_actuate` (knob: the epoch length) trace events. Ids are
+ *  stable, so a recorded trace decodes across versions; 1, 2 and 3
+ *  belonged to retired controllers and knobs. */
+constexpr std::uint64_t kEpochPacerId = 0;
 
 struct Params
 {
@@ -74,12 +65,6 @@ struct Params
      *  outweighs the metadata savings). */
     std::uint64_t epochMin = 16;
     std::uint64_t epochMax = 1024;
-    // --- Compaction governor (off unless compactHi > 0) ---
-    /** Occupancy engage/release thresholds, permille of the pool. */
-    std::int64_t compactHi = 0;
-    std::int64_t compactLo = 0;
-    /** Occupancy-slope weight in the projected-occupancy measure. */
-    std::int64_t compactSlopeW = 4;
 
     /** Read the policy.* keys (caller gates on policy.enabled). */
     static Params fromConfig(const Config &cfg);
@@ -103,26 +88,26 @@ class PolicyEngine
 
     const Params &params() const { return p_; }
     std::uint64_t evals() const { return evals_; }
-    const Actuator &actuator() const { return act_; }
+    /** Epoch-length writes that changed the length. */
+    std::uint64_t epochSets() const { return epochSets_; }
 
   private:
-    struct GaugeSet
-    {
-        std::uint64_t setpoint = 0;
-        std::uint64_t measured = 0;
-        std::uint64_t output = 0;
-    };
-
-    void stepEpochPacer(Cycle now, const Signals &s);
-    void stepCompact(Cycle now, const Signals &s);
+    /** @p bw is the interval's bandwidth in bytes per 1024 cycles,
+     *  @p delta_cycles the interval's span. */
+    void stepEpochPacer(Cycle now, std::int64_t bw,
+                        std::uint64_t delta_cycles);
     void registerGauges();
 
     NVOverlayScheme &scheme_;
+    const RunStats &stats_;
     Params p_;
-    SignalBus bus_;
-    Actuator act_;
     PidController epochPid_;
-    HysteresisController compactHys_;
+
+    /** The previous boundary's sample; the first boundary only
+     *  records one. */
+    bool sampled_ = false;
+    Cycle prevCycle_ = 0;
+    std::uint64_t prevNvmBytes_ = 0;
 
     /** EMA-filtered bandwidth (B/Kcycle); -1 until primed. Short
      *  epochs make the per-boundary measurement extremely noisy
@@ -130,8 +115,11 @@ class PolicyEngine
      *  smoothed signal. */
     std::int64_t bwEma_ = -1;
     std::uint64_t evals_ = 0;
-    GaugeSet epochGauge_;
-    GaugeSet compactGauge_;
+    std::uint64_t epochSets_ = 0;
+    /** The pacer's gauges (`policy.epoch.*`); the setpoint is
+     *  `p_.bwBudget`. */
+    std::uint64_t measured_ = 0;
+    std::uint64_t output_ = 0;
 };
 
 } // namespace policy

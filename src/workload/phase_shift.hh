@@ -3,7 +3,7 @@
  * PhaseShiftWorkload ("phased"): a sequencing wrapper that chains
  * inner workloads into phases, so adaptive-policy experiments
  * (docs/POLICY.md, bench fig_adaptive) can shift the offered load
- * mid-run and watch the controllers re-converge.
+ * mid-run and watch the epoch pacer re-converge.
  *
  * `wl.phases=btree:2000,kmeans:4000` runs 2000 B+Tree ops per thread,
  * then 4000 k-means ops per thread. Each phase's inner workload is

@@ -103,7 +103,8 @@ TEST(ConfigStrict, FullRunConsumesEveryDefaultKey)
 
 TEST(ConfigStrict, RetiredPolicyKeysAreReported)
 {
-    // The walker governor and the tenant pacer no longer exist. A
+    // The walker governor, the tenant pacer, the compaction governor
+    // and eager sub-page reclamation no longer exist. A
     // policy-enabled run must report a stale script's keys for them
     // as unread (an error under cfg.strict), not run without them.
     setQuiet(true);
@@ -118,11 +119,18 @@ TEST(ConfigStrict, RetiredPolicyKeysAreReported)
     cfg.set("policy.enabled", std::uint64_t(1));
     cfg.set("policy.walker.hi", std::uint64_t(4));
     cfg.set("policy.tenant.pace", std::uint64_t(1));
+    cfg.set("policy.compact.hi", std::uint64_t(90));
+    cfg.set("policy.compact.lo", std::uint64_t(60));
+    cfg.set("policy.compact.slope_w", std::uint64_t(4));
+    cfg.set("mnm.auto_reclaim", "true");
     System sys(cfg, "nvoverlay", "hashtable");
     ASSERT_NE(sys.policyEngine(), nullptr);
     sys.run();
     auto unread = sys.config().unreadKeys();
-    for (const char *key : {"policy.walker.hi", "policy.tenant.pace"})
+    for (const char *key :
+         {"policy.walker.hi", "policy.tenant.pace", "policy.compact.hi",
+          "policy.compact.lo", "policy.compact.slope_w",
+          "mnm.auto_reclaim"})
         EXPECT_NE(std::find(unread.begin(), unread.end(), key),
                   unread.end())
             << key;

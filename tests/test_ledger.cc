@@ -182,7 +182,6 @@ TEST(LedgerIntegration, CompactionRunStaysBalanced)
     // still balance the books.
     cfg.set("mnm.pool_mb_per_omc", std::uint64_t(1));
     cfg.set("mnm.compaction_threshold", "0.02");
-    cfg.set("mnm.auto_reclaim", "true");
     checkRunInvariants(cfg, "btree");
 }
 

@@ -136,12 +136,13 @@ TEST(PagePool, HeaderLifecycle)
 TEST(PagePool, UtilizationTracksPages)
 {
     PagePool pool(base, 10 * pageBytes);
-    EXPECT_DOUBLE_EQ(pool.utilization(), 0.0);
+    EXPECT_EQ(pool.totalPages(), 10u);
+    EXPECT_EQ(pool.pagesInUse(), 0u);
     pool.allocLines(64, 0);
-    EXPECT_DOUBLE_EQ(pool.utilization(), 0.1);
+    EXPECT_EQ(pool.pagesInUse(), 1u);
     for (int i = 0; i < 16; ++i)
         pool.allocLines(4, 0);   // one more page split into sub-pages
-    EXPECT_DOUBLE_EQ(pool.utilization(), 0.2);
+    EXPECT_EQ(pool.pagesInUse(), 2u);
 }
 
 } // namespace

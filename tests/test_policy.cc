@@ -3,15 +3,13 @@
  * Adaptive policy engine (src/policy, docs/POLICY.md).
  *
  * Controller oracles reproduce the integer arithmetic by hand so any
- * drift in the PI/hysteresis step is a test diff, not a tuning
- * surprise. System-level tests pin the load-bearing contracts: a
- * disabled policy leaves the stats JSON byte-unchanged; the epoch
- * pacer demonstrably reacts to `nvm.write_bw_budget` — a run with the
+ * drift in the PI step is a test diff, not a tuning surprise.
+ * System-level tests pin the load-bearing contracts: a disabled
+ * policy leaves the stats JSON byte-unchanged, and the epoch pacer
+ * demonstrably reacts to `nvm.write_bw_budget` — a run with the
  * budget set must steer the epoch length away from the same run
- * without it; and the compaction governor must compact and leave a
- * smaller pool than the same run without it. Also covered: NVM wear
- * accounting, the phased workload wrapper, and the epoch-series row
- * cap.
+ * without it. Also covered: NVM wear accounting, the phased workload
+ * wrapper, and the epoch-series row cap.
  */
 
 #include <gtest/gtest.h>
@@ -106,38 +104,6 @@ TEST(PidController, SetpointRetargetKeepsHistory)
     pid.setSetpoint(20);
     EXPECT_EQ(pid.step(0), 30);   // integ = 10 + 20
     EXPECT_EQ(pid.lastError(), 20);
-}
-
-// --- Hysteresis oracles ---------------------------------------------
-
-TEST(HysteresisController, DeadBandPreventsFlapping)
-{
-    policy::HysteresisParams p;
-    p.hi = 100;
-    p.lo = 50;
-    policy::HysteresisController hys(p);
-    EXPECT_FALSE(hys.step(99));    // below hi: stays off
-    EXPECT_TRUE(hys.step(100));    // engages at hi
-    EXPECT_TRUE(hys.step(60));     // inside the band: stays on
-    EXPECT_TRUE(hys.step(51));
-    EXPECT_FALSE(hys.step(50));    // releases at lo
-    EXPECT_FALSE(hys.step(99));    // below hi again: stays off
-    EXPECT_EQ(hys.transitions(), 2u);
-}
-
-TEST(HysteresisController, InitialStateAndReset)
-{
-    policy::HysteresisParams p;
-    p.hi = 10;
-    p.lo = 5;
-    p.initial = true;
-    policy::HysteresisController hys(p);
-    EXPECT_TRUE(hys.engaged());
-    EXPECT_FALSE(hys.step(5));
-    EXPECT_EQ(hys.transitions(), 1u);
-    hys.reset();
-    EXPECT_TRUE(hys.engaged());
-    EXPECT_EQ(hys.transitions(), 0u);
 }
 
 // --- Phased workload wrapper ----------------------------------------
@@ -336,32 +302,6 @@ TEST(PolicyEngineSystem, EpochPacerSteersLengthTowardBudget)
                         [pe](obs::JsonWriter &w) { pe->writeJson(w); });
     EXPECT_NE(os.str().find("\"policy\":{\"evals\":"),
               std::string::npos);
-}
-
-TEST(PolicyEngineSystem, CompactionGovernorShrinksPool)
-{
-    // A 1 MB pool per OMC keeps occupancy high enough for the
-    // 300/200 permille thresholds to engage; the governed run must
-    // compact and end with fewer pool pages in use than the same run
-    // without it.
-    Config base = tinyConfig(600);
-    base.set("epoch.stores_global", std::uint64_t(8000));
-    base.set("mnm.pool_mb_per_omc", std::uint64_t(1));
-
-    System plain(base, "nvoverlay", "hashtable");
-    plain.run();
-
-    Config governed = base;
-    governed.set("policy.enabled", std::uint64_t(1));
-    governed.set("policy.compact.hi", std::uint64_t(300));
-    governed.set("policy.compact.lo", std::uint64_t(200));
-    System sys(governed, "nvoverlay", "hashtable");
-    sys.run();
-    const auto &ex = sys.stats().extra;
-    ASSERT_EQ(ex.count("policy_compactions"), 1u);
-    EXPECT_GT(ex.at("policy_compactions"), 0u);
-    EXPECT_LT(sys.stats().poolPagesInUse,
-              plain.stats().poolPagesInUse);
 }
 
 TEST(PolicyEngineSystem, DisabledPolicyLeavesStatsByteUnchanged)

@@ -367,11 +367,6 @@ analyzeTables(const Value &root)
 
     const Value *data = root.get("stats", "nvm_write_bytes", "data");
     std::uint64_t data_bytes = data ? data->asU64() : 0;
-    // Threshold-triggered passes land in gc_compactions; passes the
-    // policy engine forces are tallied separately in the extras.
-    const Value *pol =
-        root.get("stats", "extra", "policy_compactions");
-    compactions += pol ? pol->asU64() : 0;
     if (compactions == 0) {
         std::printf("  compaction never triggered\n");
     } else {
