@@ -39,6 +39,14 @@ NVOverlayScheme::NVOverlayScheme(const Config &cfg, NvmModel &nvm_model,
         cfg.getF64("mnm.compaction_threshold", 1.0);
     mnmParams.dropMergedTables =
         cfg.getBool("mnm.drop_merged_tables", false);
+    // Merging erases each dropped table with its GC refcounts, which
+    // leaves a compaction pass nothing to copy or reclaim.
+    if (mnmParams.dropMergedTables && mnmParams.compactionThreshold < 1.0)
+        fatal("mnm.compaction_threshold=%g with "
+              "mnm.drop_merged_tables=1: dropping merged tables drops "
+              "the GC refcounts compaction reclaims by, so it would "
+              "reclaim nothing",
+              mnmParams.compactionThreshold);
     mnmParams.maxDeviceRetries = static_cast<unsigned>(
         cfg.getU64("mnm.max_device_retries", 8));
     mnmParams.testSkipRecBarrier =

@@ -89,6 +89,8 @@ ReplicaApplier::onFrame(const Frame &f, Cycle now)
         ++deduped;
         return;   // retransmission of a frame that already arrived
     }
+    if (f.type != FrameType::LateDelta && f.epoch <= appliedRec)
+        return;   // a resume re-shipped an epoch already applied here
 
     switch (f.type) {
       case FrameType::Delta:

@@ -15,7 +15,9 @@
  * Duplicate deliveries (retransmissions whose original made it) are
  * deduped by frame id; a generation bump (primary resumed from its
  * durable cursor) drops incomplete pending epochs — the resumed
- * stream re-ships them whole.
+ * stream re-ships them whole. The resumed stream also re-ships epochs
+ * the standby applied ahead of the durable cursor; their Delta and
+ * EpochClose frames are dropped on arrival.
  *
  * Applies run with the global tracer, ledger, and fault registry
  * quiesced: the standby shares those singletons with the primary and
@@ -59,6 +61,8 @@ class ReplicaApplier
     EpochWide appliedRecEpoch() const { return appliedRec; }
 
     std::uint64_t framesDeduped() const { return deduped; }
+    /** Epochs holding frames that have not applied yet (tests). */
+    std::size_t pendingEpochs() const { return pending.size(); }
     std::uint64_t epochsApplied() const { return applied; }
 
     /** Standby image reads (failover verification). */

@@ -136,5 +136,19 @@ TEST(ConfigStrict, RetiredPolicyKeysAreReported)
             << key;
 }
 
+TEST(ConfigStrict, CompactionWithDroppedTablesIsRejected)
+{
+    // Compaction reclaims by the GC refcounts that dropping merged
+    // tables erases, so the pair is a config error naming both keys.
+    Config cfg = defaultConfig();
+    cfg.set("wl.ops", std::uint64_t(50));
+    cfg.set("mnm.compaction_threshold", "0.5");
+    cfg.set("mnm.drop_merged_tables", "true");
+    EXPECT_EXIT(System(cfg, "nvoverlay", "btree"),
+                ::testing::ExitedWithCode(1),
+                "mnm.compaction_threshold=0.5 with "
+                "mnm.drop_merged_tables=1");
+}
+
 } // namespace
 } // namespace nvo

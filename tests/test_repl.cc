@@ -22,6 +22,7 @@
 #include "harness/system.hh"
 #include "nvoverlay/nvoverlay_scheme.hh"
 #include "repl/link.hh"
+#include "repl/replica.hh"
 #include "repl/replicator.hh"
 #include "repl/wire.hh"
 
@@ -373,6 +374,44 @@ TEST(ReplLink, HighWaterRaisesCongestionUntilDrained)
     h.pump(now);
     EXPECT_FALSE(h.link.congested());
     EXPECT_EQ(h.delivered.size(), 64u);
+}
+
+// ---------------------------------------------------------------
+// Standby applier
+// ---------------------------------------------------------------
+
+Frame
+closeFrame(std::uint64_t id, std::uint32_t generation, EpochWide e,
+           std::uint64_t deltas)
+{
+    Frame f;
+    f.type = FrameType::EpochClose;
+    f.generation = generation;
+    f.epoch = e;
+    f.arg = deltas;
+    f.frameId = id;
+    return f;
+}
+
+TEST(ReplicaApplier, ReshipOfAnAppliedEpochLeavesNothingPending)
+{
+    setQuiet(true);
+    ReplicaApplier standby(ReplicaApplier::Params{});
+    const Addr line = 0x1000;
+    Frame delta = deltaFrame(1, 1, line, 0x10);
+    delta.generation = 0;
+    standby.onFrame(delta, 0);
+    standby.onFrame(closeFrame(2, 0, 1, 1), 0);
+    ASSERT_EQ(standby.appliedRecEpoch(), 1u);
+    ASSERT_EQ(standby.pendingEpochs(), 0u);
+
+    // The primary resumed from a durable cursor behind the standby:
+    // generation 1 re-ships epoch 1 whole, under new frame ids.
+    standby.onFrame(deltaFrame(3, 1, line, 0x10), 100);
+    standby.onFrame(closeFrame(4, 1, 1, 1), 100);
+    EXPECT_EQ(standby.appliedRecEpoch(), 1u);
+    EXPECT_EQ(standby.epochsApplied(), 1u);
+    EXPECT_EQ(standby.pendingEpochs(), 0u);
 }
 
 // ---------------------------------------------------------------

@@ -6,9 +6,9 @@
 Keeps the `stats` and `ledger` sections of a `stats_json=` file and
 drops every key whose name starts with `host_` (host wall-clock
 timers), at any depth. What is left depends only on the simulated run,
-so it is byte-identical for a fixed config and seed. CI compares it
-with the files under tests/data/ for the perfbench configs run at full
-size.
+so it is byte-identical for a fixed config and seed. The `gate`
+ctest tests compare it with the files under tests/data/ for the
+perfbench configs run at full size (tools/gate.py --filter sections).
 """
 
 import json
@@ -24,14 +24,18 @@ def drop_host(node):
     return node
 
 
+def sections(run):
+    """The simulated sections of a parsed stats JSON, as file text."""
+    out = {name: drop_host(run[name]) for name in ("stats", "ledger")}
+    return json.dumps(out, indent=1) + "\n"
+
+
 def main():
     if len(sys.argv) != 2:
         sys.stderr.write(__doc__)
         return 2
     with open(sys.argv[1]) as f:
-        run = json.load(f)
-    out = {name: drop_host(run[name]) for name in ("stats", "ledger")}
-    sys.stdout.write(json.dumps(out, indent=1) + "\n")
+        sys.stdout.write(sections(json.load(f)))
     return 0
 
 
