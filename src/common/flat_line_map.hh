@@ -1,14 +1,16 @@
 /**
  * @file
- * Flat open-addressing hash map keyed by cache-line address.
+ * Flat open-addressing hash map keyed by a line-aligned address: a
+ * cache line's, or a page's.
  *
  * One array of (line address, value) slots. A Fibonacci
  * (multiplicative) hash of the line number picks the home slot, so
  * runs of consecutive lines scatter across the table instead of
  * forming probe clusters; collisions probe linearly; an erase shifts
  * the rest of its probe run back, so no lookup steps over a
- * tombstone; and the table doubles at load 1/2 from 64 slots, so it
- * costs memory in proportion to its entries. invalidAddr marks an
+ * tombstone; and the table doubles at load 1/2 from 8 slots, so it
+ * costs memory in proportion to its entries, even when thousands of
+ * small maps (one per epoch table) are alive. invalidAddr marks an
  * empty slot and is never a key. Values move by assignment when the
  * table grows or an erase shifts a run, so keep them small.
  */
@@ -143,7 +145,7 @@ class FlatLineMap
         V value{};
     };
 
-    static constexpr unsigned initialSlotsLog2 = 6;
+    static constexpr unsigned initialSlotsLog2 = 3;
 
     /** Home slot of @p line_addr in the current table. */
     std::size_t

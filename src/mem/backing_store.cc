@@ -19,17 +19,19 @@ LineData::digest() const
 BackingStore::Page *
 BackingStore::findPage(Addr page_addr) const
 {
-    auto it = pages.find(page_addr);
-    return it == pages.end() ? nullptr : it->second.get();
+    Page *const *page = index.probe(page_addr);
+    return page ? *page : nullptr;
 }
 
 BackingStore::Page &
 BackingStore::getPage(Addr page_addr)
 {
-    auto &slot = pages[page_addr];
-    if (!slot)
-        slot = std::make_unique<Page>();
-    return *slot;
+    Page *&page = index[page_addr];
+    if (!page) {
+        pages.push_back(std::make_unique<Page>());
+        page = pages.back().get();
+    }
+    return *page;
 }
 
 void
@@ -80,18 +82,19 @@ EpochWide
 BackingStore::lineOid(Addr line_addr) const
 {
     const Page *page = findPage(pageAlign(line_addr));
-    if (!page)
+    if (!page || !page->meta)
         return 0;
     // The tag lives in the super block's first line slot.
     unsigned li = lineInPage(line_addr) & ~(oidGran - 1);
-    return page->meta[li].oid;
+    return (*page->meta)[li].oid;
 }
 
 SeqNo
 BackingStore::lineSeq(Addr line_addr) const
 {
     const Page *page = findPage(pageAlign(line_addr));
-    return page ? page->meta[lineInPage(line_addr)].seq : 0;
+    return page && page->meta ? (*page->meta)[lineInPage(line_addr)].seq
+                              : 0;
 }
 
 void
@@ -117,17 +120,21 @@ void
 BackingStore::setMeta(Page &page, Addr line_addr, EpochWide oid,
                       SeqNo seq)
 {
+    if (!page.meta)
+        page.meta = std::make_unique<std::array<LineMeta, linesPerPage>>();
+    auto &meta = *page.meta;
     unsigned li = lineInPage(line_addr);
-    page.meta[li].seq = seq;
+    meta[li].seq = seq;
     // Shared super-block tag: only moved forward (Sec. V-F).
     unsigned tag = li & ~(oidGran - 1);
-    if (oid > page.meta[tag].oid || oidGran == 1)
-        page.meta[tag].oid = oid;
+    if (oid > meta[tag].oid || oidGran == 1)
+        meta[tag].oid = oid;
 }
 
 void
 BackingStore::clear()
 {
+    index = {};
     pages.clear();
 }
 

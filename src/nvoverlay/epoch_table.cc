@@ -1,5 +1,7 @@
 #include "nvoverlay/epoch_table.hh"
 
+#include <algorithm>
+
 #include "common/audit.hh"
 #include "common/bitutil.hh"
 #include "common/log.hh"
@@ -53,8 +55,8 @@ EpochTable::~EpochTable()
 EpochTable::PageEntry *
 EpochTable::findEntry(Addr page_addr) const
 {
-    auto it = index.find(page_addr);
-    return it == index.end() ? nullptr : it->second;
+    PageEntry *const *pe = index.probe(page_addr);
+    return pe ? *pe : nullptr;
 }
 
 EpochTable::PageEntry *
@@ -64,16 +66,16 @@ EpochTable::findOrCreateEntry(Addr page_addr)
     // would alias another page in the hardware table.
     nvo_assert(page_addr >> 48 == 0,
                "page address does not fit the 48-bit table key");
-    auto [it, fresh] = index.try_emplace(page_addr, nullptr);
+    PageEntry *&pe = index[page_addr];
     unsigned allocated = 0;
-    if (fresh) {
+    if (!pe) {
         unsigned nodes = 0;
         for (unsigned shift : innerNodeShifts)
             nodes += innerNodes.insert(innerNodeKey(page_addr, shift))
                          .second;
         entries.push_back(std::make_unique<PageEntry>());
         entries.back()->pageAddr = page_addr;
-        it->second = entries.back().get();
+        pe = entries.back().get();
         if (footprint_)
             *footprint_ += nodes * nodeBytes + leafBytes;
         allocated = nodes + 1;
@@ -81,7 +83,7 @@ EpochTable::findOrCreateEntry(Addr page_addr)
     // Fixed-depth radix: 4 nodes visited, plus one "cost" unit per
     // node/leaf allocated on the way down.
     NVO_METRIC(record(hWalk_, 4 + allocated));
-    return it->second;
+    return pe;
 }
 
 bool
@@ -108,6 +110,10 @@ EpochTable::grow(PageEntry &pe, Inserted &ins)
     }
     ins.grownTo = fresh;
     ins.relocated = pe.used;
+    // Slots keep their numbers, so their seqnos copy index for index.
+    auto seqs = std::make_unique<SeqNo[]>(new_cap);
+    std::copy_n(pe.slotSeq.get(), pe.used, seqs.get());
+    pe.slotSeq = std::move(seqs);
 
     PagePool::SubPageHeader hdr;
     if (pe.subPage != invalidAddr) {
@@ -176,6 +182,8 @@ EpochTable::adoptSubPage(Addr sub_page,
     pe->subPage = sub_page;
     pe->capacity = header.capacityLines;
     pe->used = header.usedLines;
+    // Seqnos are not persistent: the rebuilt slots start at 0.
+    pe->slotSeq = std::make_unique<SeqNo[]>(header.capacityLines);
     for (unsigned slot = 0; slot < header.usedLines; ++slot) {
         unsigned li = header.slotLine[slot];
         pe->bitmap |= 1ull << li;
@@ -231,15 +239,22 @@ EpochTable::audit() const
 {
     if (!audit::enabled)
         return;
+    index.audit();
+    NVO_AUDIT(index.size() == entries.size(),
+              "page index size diverged from the table's pages");
     for (const auto &pe : entries) {
         NVO_AUDIT(pageAlign(pe->pageAddr) == pe->pageAddr,
                   "overlay page entry for an unaligned page");
+        NVO_AUDIT(findEntry(pe->pageAddr) == pe.get(),
+                  "page index does not find an overlay page");
         if (pe->reclaimed)
             continue;
         NVO_AUDIT(popcount64(pe->bitmap) == pe->used,
                   "line bitmap population diverged from slot count");
         NVO_AUDIT(pe->used <= pe->capacity,
                   "overlay page uses more slots than its capacity");
+        NVO_AUDIT(pe->capacity == 0 || pe->slotSeq,
+                  "overlay sub-page without slot seqnos");
         NVO_AUDIT(pe->liveMaster <= pe->used,
                   "GC refcount exceeds stored versions");
         if (pe->used == 0)

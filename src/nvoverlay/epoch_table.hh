@@ -12,8 +12,10 @@
  *
  * The radix exists only as a footprint: tableBytes() counts its
  * 4 KiB nodes and 16 B leaves exactly, while the host finds a page
- * through a page-keyed hash index, so a table costs host memory in
- * proportion to the pages it maps.
+ * through a flat page index (FlatLineMap keyed by page address) and
+ * keeps one store seqno per slot of the page's sub-page, so a table
+ * costs host memory in proportion to its pages and their sub-page
+ * capacity.
  */
 
 #ifndef NVO_NVOVERLAY_EPOCH_TABLE_HH
@@ -23,10 +25,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/flat_line_map.hh"
 #include "common/types.hh"
 #include "mem/backing_store.hh"
 #include "nvoverlay/page_pool.hh"
@@ -79,11 +81,12 @@ class EpochTable
         std::uint8_t capacity = 0;      ///< sub-page capacity (lines)
         std::uint8_t used = 0;
         std::array<std::uint8_t, linesPerPage> lineSlot{};
-        /** Seqno of the content stored in each slot: same-epoch
-         *  re-insertions only overwrite with newer content (the
-         *  interconnect delivers same-line writes in order; the
-         *  walker's delayed drain must not clobber them). */
-        std::array<SeqNo, linesPerPage> slotSeq{};
+        /** Seqno of the content stored in each of the sub-page's
+         *  capacity slots: same-epoch re-insertions only overwrite
+         *  with newer content (the interconnect delivers same-line
+         *  writes in order; the walker's delayed drain must not
+         *  clobber them). */
+        std::unique_ptr<SeqNo[]> slotSeq;
         /** Lines still referenced by the master table (GC refcount). */
         std::uint32_t liveMaster = 0;
         bool reclaimed = false;
@@ -156,11 +159,12 @@ class EpochTable
     std::uint64_t tableBytes() const;
 
     /**
-     * Invariant sweep (NVO_AUDIT): every live overlay page maps into
-     * an allocated pool sub-page whose persistent header agrees with
-     * the volatile entry (source page, epoch, capacity, fill), the
-     * line bitmap matches the slot count, and line->slot assignments
-     * are injective within the sub-page capacity (Sec. V-C).
+     * Invariant sweep (NVO_AUDIT): the page index holds exactly the
+     * table's pages, every live overlay page maps into an allocated
+     * pool sub-page whose persistent header agrees with the volatile
+     * entry (source page, epoch, capacity, fill), the line bitmap
+     * matches the slot count, and line->slot assignments are
+     * injective within the sub-page capacity (Sec. V-C).
      */
     void audit() const;
 
@@ -185,7 +189,7 @@ class EpochTable
     /** Overlay pages in insertion order (iteration order). */
     std::vector<std::unique_ptr<PageEntry>> entries;
     /** Host lookup index: page address -> its entry. */
-    std::unordered_map<Addr, PageEntry *> index;
+    FlatLineMap<PageEntry *> index;
     /** Modelled radix inner nodes below the root, one per distinct
      *  page-address prefix at bits 47..39, 47..30 and 47..21. */
     std::unordered_set<Addr> innerNodes;

@@ -135,7 +135,27 @@ TEST_F(EpochTableTest, SameEpochOverwriteKeepsNewest)
     EXPECT_EQ(out, lineOf(2));
     EXPECT_EQ(table->versionCount(), 1u);
     EXPECT_EQ(dataBytes, 3u * 64);
+
+    // A grow keeps each slot's seqno: the stale write still loses once
+    // the page has grown 4 -> 16 -> 64 lines.
+    constexpr Addr page = 0x4000;
+    insert(page, 20, lineOf(2));
+    unsigned filled = 1;
+    for (unsigned cap : {4u, 16u, 64u}) {
+        for (; filled < cap; ++filled)
+            insert(page + filled * lineBytes, 1, lineOf(9));
+        ASSERT_EQ(table->pageEntry(page)->capacity, cap);
+        insert(page, 15, lineOf(3));
+        table->readVersion(page, out);
+        EXPECT_EQ(out, lineOf(2)) << "sub-page of " << cap << " lines";
+    }
 }
+
+// A page entry keeps one seqno per slot of its sub-page, not 64: with
+// thousands of epoch tables alive, its size is most of a table's host
+// memory.
+static_assert(sizeof(EpochTable::PageEntry) <= 128,
+              "PageEntry grew past two cache lines");
 
 TEST_F(EpochTableTest, HeaderDescribesSubPage)
 {

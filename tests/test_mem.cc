@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
+#include "common/rng.hh"
 #include "mem/backing_store.hh"
 #include "mem/dram_model.hh"
 #include "mem/nvm_model.hh"
@@ -62,6 +66,25 @@ TEST(BackingStore, LineMetaRoundTrip)
     EXPECT_EQ(bs.lineSeq(0x2000), 1234u);
     // Other lines on the same page unaffected.
     EXPECT_EQ(bs.lineOid(0x2040), 0u);
+
+    // A page written only by content has no metadata: it reads OID
+    // and seq 0, and its first metadata write leaves the bytes intact.
+    LineData d;
+    d.bytes.fill(0x5a);
+    bs.writeLine(0x3000, d);
+    bs.writeLine(0x3040, d);
+    EXPECT_EQ(bs.lineOid(0x3000), 0u);
+    EXPECT_EQ(bs.lineSeq(0x3000), 0u);
+    bs.setLineMeta(0x3040, 9, 99);
+    LineData out;
+    bs.readLine(0x3000, out);
+    EXPECT_EQ(out, d);
+    bs.readLine(0x3040, out);
+    EXPECT_EQ(out, d);
+    EXPECT_EQ(bs.lineOid(0x3040), 9u);
+    EXPECT_EQ(bs.lineSeq(0x3040), 99u);
+    EXPECT_EQ(bs.lineOid(0x3000), 0u);
+    EXPECT_EQ(bs.numPages(), 2u);
 }
 
 TEST(BackingStore, SparsePagesMaterializeOnDemand)
@@ -76,6 +99,41 @@ TEST(BackingStore, SparsePagesMaterializeOnDemand)
     EXPECT_EQ(bs.numPages(), 1u);   // same page
     bs.writeLine(0x9000, d);
     EXPECT_EQ(bs.numPages(), 2u);
+
+    // Thousands of pages through the page index: a dense run of
+    // consecutive pages (the pattern that clusters a linearly probed
+    // table under an identity hash) and a scattered set. Each page's
+    // line holds its own address, so a misfiled page reads back wrong.
+    BackingStore many;
+    constexpr Addr denseBase = 0x10000000;
+    constexpr unsigned densePages = 4096;
+    std::vector<Addr> pages;
+    for (unsigned i = 0; i < densePages; ++i)
+        pages.push_back(denseBase + static_cast<Addr>(i) * pageBytes);
+    Rng rng(7);
+    std::set<Addr> scattered;
+    while (scattered.size() < 1024) {
+        const Addr p = pageAlign(rng.below(1ull << 40));
+        if (p < denseBase || p >= denseBase + densePages * pageBytes)
+            scattered.insert(p);
+    }
+    pages.insert(pages.end(), scattered.begin(), scattered.end());
+    auto lineOfPage = [](Addr page) {
+        LineData line;
+        std::memcpy(line.bytes.data(), &page, sizeof page);
+        return line;
+    };
+    for (Addr page : pages)
+        many.writeLine(page + 2 * lineBytes, lineOfPage(page));
+    EXPECT_EQ(many.numPages(), pages.size());
+    for (Addr page : pages) {
+        LineData out;
+        many.readLine(page + 2 * lineBytes, out);
+        ASSERT_EQ(out, lineOfPage(page)) << std::hex << page;
+        many.readLine(page, out);
+        ASSERT_EQ(out, LineData{}) << std::hex << page;
+    }
+    EXPECT_EQ(many.numPages(), pages.size()) << "reads add no pages";
 }
 
 TEST(BackingStore, ClearDropsEverything)
@@ -84,11 +142,28 @@ TEST(BackingStore, ClearDropsEverything)
     LineData d;
     d.bytes[0] = 7;
     bs.writeLine(0x100, d);
+    bs.setLineMeta(0x100, 4, 5);
     bs.clear();
     LineData out;
     bs.readLine(0x100, out);
     EXPECT_EQ(out.bytes[0], 0);
+    EXPECT_EQ(bs.lineOid(0x100), 0u);
+    EXPECT_EQ(bs.lineSeq(0x100), 0u);
     EXPECT_EQ(bs.numPages(), 0u);
+
+    // The cleared store takes writes again, as a fresh one does.
+    d.bytes[0] = 9;
+    bs.writeLine(0x100, d);
+    bs.writeLine(0x7000, d);
+    bs.setLineMeta(0x7000, 6, 8);
+    bs.readLine(0x100, out);
+    EXPECT_EQ(out, d);
+    bs.readLine(0x7000, out);
+    EXPECT_EQ(out, d);
+    EXPECT_EQ(bs.lineOid(0x100), 0u);
+    EXPECT_EQ(bs.lineOid(0x7000), 6u);
+    EXPECT_EQ(bs.lineSeq(0x7000), 8u);
+    EXPECT_EQ(bs.numPages(), 2u);
 }
 
 TEST(LineData, DigestDistinguishesContent)
