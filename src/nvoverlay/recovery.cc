@@ -28,7 +28,6 @@ RecoveryManager::recoverFiltered(bool tenant_only,
             bool ok = backend.readMaster(line_addr, content);
             nvo_assert(ok);
             result.image->writeLine(line_addr, content);
-            result.image->setLineMeta(line_addr, entry.epoch, 0);
             ++result.linesRestored;
             result.modelCycles += nvmLineReadCycles + tableStepCycles;
         });

@@ -33,7 +33,8 @@ class RecoveryManager
     {
         /** Epoch the image corresponds to. */
         EpochWide recEpoch = 0;
-        /** Rebuilt consistent memory image. */
+        /** Rebuilt consistent memory image: line content only (no
+         *  line is OID- or seqno-tagged), so 4 KB per page. */
         std::unique_ptr<BackingStore> image;
         std::uint64_t linesRestored = 0;
         /**

@@ -174,6 +174,8 @@ TEST(Rebuild, IntermediateRecEpochWithUnmergedLaterTables)
         ++checked;
         if (!(got == *want))
             ++mismatches;
+        // The image holds content only: no restored line is tagged.
+        EXPECT_EQ(result.image->lineOid(kv.first), 0u);
     }
     EXPECT_EQ(mismatches, 0u);
     EXPECT_GT(checked, 50u);
