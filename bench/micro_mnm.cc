@@ -2,16 +2,20 @@
  * @file
  * Micro-benchmarks (google-benchmark) for the MNM hot paths: per-
  * epoch table insertion, master-table insert/lookup, page-pool
- * allocation, and OMC buffer insertion — the operations on the OMC's
- * critical path for every version write back.
+ * allocation, OMC buffer insertion, and a backend insert with many
+ * epoch tables retained — the operations on the OMC's critical path
+ * for every version write back.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hh"
 #include "common/rng.hh"
+#include "common/stats.hh"
+#include "mem/nvm_model.hh"
 #include "nvoverlay/epoch_table.hh"
 #include "nvoverlay/master_table.hh"
+#include "nvoverlay/omc.hh"
 #include "nvoverlay/omc_buffer.hh"
 #include "nvoverlay/page_pool.hh"
 
@@ -111,6 +115,42 @@ BM_OmcBufferInsert(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_OmcBufferInsert);
+
+/**
+ * MnmBackend::insertVersion into the newest epoch while N older epoch
+ * tables are retained in every OMC partition (nothing merges: no VD
+ * certifies). The timed inserts overwrite a warmed 64-page working
+ * set, so every iteration does the same work; its cost should not
+ * depend on N.
+ */
+void
+BM_MnmInsertWithRetainedTables(benchmark::State &state)
+{
+    RunStats stats;
+    NvmModel nvm(NvmModel::Params{}, &stats);
+    MnmBackend backend(MnmBackend::Params{}, nvm, stats);
+    LineData content;
+    const auto tables = static_cast<EpochWide>(state.range(0));
+    SeqNo seq = 0;
+    // One version per partition in each of epochs 1..N: four
+    // consecutive lines land in the four line-interleaved OMCs.
+    for (EpochWide e = 1; e <= tables; ++e)
+        for (Addr line = 0; line < 4; ++line)
+            backend.insertVersion(e * pageBytes + line * lineBytes, e,
+                                  ++seq, content, 0);
+    constexpr Addr set = 1ull << 32;
+    constexpr Addr setBytes = 64 * pageBytes;
+    for (Addr a = set; a < set + setBytes; a += lineBytes)
+        backend.insertVersion(a, tables, ++seq, content, 0);
+    Rng rng(8);
+    for (auto _ : state) {
+        Addr a = set + lineAlign(rng.below(setBytes));
+        benchmark::DoNotOptimize(
+            backend.insertVersion(a, tables, ++seq, content, 0));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MnmInsertWithRetainedTables)->Arg(64)->Arg(4096);
 
 /**
  * Console reporter that additionally captures every finished run

@@ -117,16 +117,15 @@ EpochTable::grow(PageEntry &pe, Inserted &ins)
 
     PagePool::SubPageHeader hdr;
     if (pe.subPage != invalidAddr) {
-        if (const auto *old = pool.header(pe.subPage))
-            hdr = *old;
-        pool.dropHeader(pe.subPage);
+        hdr = *pool.header(pe.header);
+        pool.dropHeader(pe.header);
         pool.freeLines(pe.subPage, pe.capacity, asid);
     }
     hdr.srcPage = pe.pageAddr;
     hdr.epoch = epoch_;
     hdr.capacityLines = static_cast<std::uint8_t>(new_cap);
     hdr.usedLines = pe.used;
-    pool.setHeader(fresh, hdr);
+    pe.header = pool.setHeader(PagePool::noHeader, fresh, hdr);
     ins.metaBytes = 16;   // header create/update
 
     pe.subPage = fresh;
@@ -144,6 +143,7 @@ EpochTable::insert(Addr line_addr, SeqNo seq, const LineData &content)
     nvo_assert(!pe->reclaimed, "insert into a reclaimed overlay page");
 
     Inserted ins;
+    ins.page = pe;
     unsigned slot;
     bool fresh_line = !((pe->bitmap >> li) & 1ull);
     if (fresh_line) {
@@ -153,7 +153,7 @@ EpochTable::insert(Addr line_addr, SeqNo seq, const LineData &content)
         pe->bitmap |= 1ull << li;
         pe->lineSlot[li] = static_cast<std::uint8_t>(slot);
         ++versions;
-        pool.fillSlot(pe->subPage, slot, li);
+        pool.fillSlot(pe->header, slot, li);
     } else {
         slot = pe->lineSlot[li];
     }
@@ -171,7 +171,7 @@ EpochTable::insert(Addr line_addr, SeqNo seq, const LineData &content)
 }
 
 void
-EpochTable::adoptSubPage(Addr sub_page,
+EpochTable::adoptSubPage(PagePool::HeaderId id, Addr sub_page,
                          const PagePool::SubPageHeader &header)
 {
     nvo_assert(header.epoch == epoch_,
@@ -180,6 +180,7 @@ EpochTable::adoptSubPage(Addr sub_page,
     nvo_assert(pe->subPage == invalidAddr,
                "overlay page already populated");
     pe->subPage = sub_page;
+    pe->header = id;
     pe->capacity = header.capacityLines;
     pe->used = header.usedLines;
     // Seqnos are not persistent: the rebuilt slots start at 0.
@@ -279,11 +280,13 @@ EpochTable::audit() const
             slots_taken |= 1ull << slot;
         }
 
-        const PagePool::SubPageHeader *hdr = pool.header(pe->subPage);
+        const PagePool::SubPageHeader *hdr = pool.header(pe->header);
         NVO_AUDIT(hdr != nullptr,
                   "live overlay page without a persistent header");
         if (!hdr)
             continue;
+        NVO_AUDIT(pool.headerSubPage(pe->header) == pe->subPage,
+                  "header slot describes another sub-page");
         NVO_AUDIT(hdr->srcPage == pe->pageAddr,
                   "header source page diverged from the entry");
         NVO_AUDIT(hdr->epoch == epoch_,

@@ -52,6 +52,8 @@ class EpochTable
         unsigned growthFactor = 4;
     };
 
+    struct PageEntry;
+
     /**
      * The NVM traffic one insert caused, for the caller to issue: the
      * relocation copies first, in slot order, then the data write.
@@ -70,6 +72,8 @@ class EpochTable
         unsigned relocated = 0;
         /** Persistent sub-page header bytes written. */
         std::uint32_t metaBytes = 0;
+        /** The version's page entry. */
+        PageEntry *page = nullptr;
     };
 
     /** Leaf descriptor for one overlay page. */
@@ -81,6 +85,9 @@ class EpochTable
         std::uint8_t capacity = 0;      ///< sub-page capacity (lines)
         std::uint8_t used = 0;
         std::array<std::uint8_t, linesPerPage> lineSlot{};
+        /** The sub-page's persistent header, a slot of the pool's
+         *  header slab (it fits the padding before slotSeq). */
+        PagePool::HeaderId header = PagePool::noHeader;
         /** Seqno of the content stored in each of the sub-page's
          *  capacity slots: same-epoch re-insertions only overwrite
          *  with newer content (the interconnect delivers same-line
@@ -121,10 +128,11 @@ class EpochTable
     /** Read this epoch's version of @p line_addr. */
     bool readVersion(Addr line_addr, LineData &out) const;
 
-    /** Visit every mapped version: fn(line_addr, nvm_addr). */
+    /** Visit every mapped version: fn(line_addr, nvm_addr, entry),
+     *  the entry being the page entry that holds the version. */
     template <typename Fn>
     void
-    forEachVersion(Fn &&fn) const
+    forEachVersion(Fn &&fn)
     {
         for (const auto &pe : entries) {
             if (pe->reclaimed)
@@ -134,7 +142,8 @@ class EpochTable
                     continue;
                 fn(pe->pageAddr + static_cast<Addr>(li) * lineBytes,
                    pe->subPage +
-                       static_cast<Addr>(pe->lineSlot[li]) * lineBytes);
+                       static_cast<Addr>(pe->lineSlot[li]) * lineBytes,
+                   *pe);
             }
         }
     }
@@ -143,9 +152,10 @@ class EpochTable
      * Reconstruct one overlay page from a persistent sub-page header
      * (post-crash rebuild of the volatile table, paper Sec. V-E:
      * "volatile OMC data structures are also rebuilt during the
-     * recovery"). The header's slot map is authoritative.
+     * recovery"). The header's slot map is authoritative; @p id is
+     * its slab slot.
      */
-    void adoptSubPage(Addr sub_page,
+    void adoptSubPage(PagePool::HeaderId id, Addr sub_page,
                       const PagePool::SubPageHeader &header);
 
     /** Visit every overlay page entry. */

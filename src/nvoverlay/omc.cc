@@ -48,17 +48,38 @@ MnmBackend::omcOf(Addr line_addr) const
 }
 
 EpochTable &
+MnmBackend::TableStore::insert(std::unique_ptr<EpochTable> table)
+{
+    const EpochWide e = table->epochId();
+    if (slots.empty())
+        front = e;
+    for (; e < front; --front)
+        slots.emplace_front();
+    if (e - front >= slots.size())
+        slots.resize(e - front + 1);
+    nvo_assert(!slots[e - front], "epoch already has a table");
+    slots[e - front] = std::move(table);
+    return *slots[e - front];
+}
+
+void
+MnmBackend::TableStore::erase(EpochWide e)
+{
+    nvo_assert(find(e) != nullptr, "erase of an absent epoch table");
+    slots[e - front].reset();
+    for (; !slots.empty() && !slots.front(); ++front)
+        slots.pop_front();
+    while (!slots.empty() && !slots.back())
+        slots.pop_back();
+}
+
+EpochTable &
 MnmBackend::getTable(Part &part, EpochWide e)
 {
-    auto it = part.tables.find(e);
-    if (it == part.tables.end()) {
-        it = part.tables
-                 .emplace(e, std::make_unique<EpochTable>(
-                                 e, *part.pool, p.table,
-                                 &part.tableBytes))
-                 .first;
-    }
-    return *it->second;
+    if (EpochTable *table = part.tables.find(e))
+        return *table;
+    return part.tables.insert(std::make_unique<EpochTable>(
+        e, *part.pool, p.table, &part.tableBytes));
 }
 
 Cycle
@@ -97,10 +118,10 @@ Cycle
 MnmBackend::flushPending(Part &part, const OmcBuffer::Pending &pending,
                          Cycle now)
 {
-    auto it = part.tables.find(pending.epoch);
-    nvo_assert(it != part.tables.end(),
+    const EpochTable *table = part.tables.find(pending.epoch);
+    nvo_assert(table != nullptr,
                "buffered version without its epoch table");
-    Addr nvm_addr = it->second->lookupNvm(pending.addr);
+    Addr nvm_addr = table->lookupNvm(pending.addr);
     nvo_assert(nvm_addr != invalidAddr,
                "buffered version missing from its table");
     return deviceWrite(nvm_addr, now,
@@ -134,21 +155,21 @@ MnmBackend::insertVersion(Addr line_addr, EpochWide oid, SeqNo seq,
         return tableInsert(part, table, line_addr, seq, content,
                            obs::causeOf(why), buffered, now, stall);
     };
-    Addr nvm_addr = try_insert();
-    if (nvm_addr == invalidAddr) {
+    EpochTable::Inserted ins = try_insert();
+    if (ins.nvmAddr == invalidAddr) {
         // Pool exhausted: compact if enabled, else ask the OS for
         // more pages (paper Sec. V-D).
         if (p.compactionThreshold < 1.0) {
             compact(now);
             ++stats.gcCompactions;
-            nvm_addr = try_insert();
+            ins = try_insert();
         }
-        if (nvm_addr == invalidAddr) {
+        if (ins.nvmAddr == invalidAddr) {
             part.pool->extend(p.extendPages);
             stats.extra["pool_extensions"] += 1;
-            nvm_addr = try_insert();
+            ins = try_insert();
         }
-        nvo_assert(nvm_addr != invalidAddr,
+        nvo_assert(ins.nvmAddr != invalidAddr,
                    "pool exhausted even after extension");
     }
     NVO_LEDGER(
@@ -167,8 +188,7 @@ MnmBackend::insertVersion(Addr line_addr, EpochWide oid, SeqNo seq,
         if (cur == nullptr || cur->epoch <= oid) {
             NVO_FAULT_POINT("omc.late_merge");
             auto replaced =
-                masterInsert(part, line_addr, nvm_addr, oid,
-                             table.pageEntry(pageAlign(line_addr)));
+                masterInsert(part, line_addr, ins.nvmAddr, oid, ins.page);
             if (replaced)
                 unref(oidx, part, line_addr, *replaced, now);
             stats.extra["late_merges"] += 1;
@@ -227,7 +247,7 @@ MnmBackend::ackedEpoch(Addr line_addr) const
     return e ? *e : 0;
 }
 
-Addr
+EpochTable::Inserted
 MnmBackend::tableInsert(Part &part, EpochTable &table, Addr line_addr,
                         SeqNo seq, const LineData &content,
                         obs::LedgerCause cause, bool buffered,
@@ -236,7 +256,7 @@ MnmBackend::tableInsert(Part &part, EpochTable &table, Addr line_addr,
     const EpochTable::Inserted ins =
         table.insert(line_addr, seq, content);
     if (ins.nvmAddr == invalidAddr)
-        return invalidAddr;
+        return ins;
     // A compaction copy pays for the relocations it triggers too.
     // Either way the relocated page, and so its tenant, is the
     // version's.
@@ -262,9 +282,8 @@ MnmBackend::tableInsert(Part &part, EpochTable &table, Addr line_addr,
     // master maps by address.
     if (ins.relocated > 0 && recEpoch_ != 0 &&
         table.epochId() <= recEpoch_)
-        remapRelocated(part, table,
-                       *table.pageEntry(pageAlign(line_addr)));
-    return ins.nvmAddr;
+        remapRelocated(part, table, *ins.page);
+    return ins;
 }
 
 std::optional<MasterTable::Entry>
@@ -292,11 +311,10 @@ MnmBackend::unref(unsigned oidx, Part &part, Addr line_addr,
     // master now — record the lifecycle exit even when the version's
     // epoch table is long gone (dropMergedTables).
     NVO_LEDGER(dropped(oidx, line_addr, old_entry.epoch, now));
-    auto it = part.tables.find(old_entry.epoch);
-    if (it == part.tables.end())
+    EpochTable *table = part.tables.find(old_entry.epoch);
+    if (!table)
         return;
-    EpochTable::PageEntry *pe =
-        it->second->pageEntry(pageAlign(line_addr));
+    EpochTable::PageEntry *pe = table->pageEntry(pageAlign(line_addr));
     if (pe && !pe->reclaimed && pe->liveMaster > 0)
         --pe->liveMaster;
 }
@@ -325,8 +343,9 @@ MnmBackend::reclaimSubPage(Part &part, EpochTable::PageEntry &pe)
     // compaction paths handled the rest, so raw pool frees are safe.
     // The overlay page's tag credits the owning tenant's occupancy.
     const tenant::Asid asid = tenant::asidOf(pe.pageAddr);
-    part.pool->dropHeader(pe.subPage);
+    part.pool->dropHeader(pe.header);
     part.pool->freeLines(pe.subPage, pe.capacity, asid);
+    pe.header = PagePool::noHeader;
     pe.reclaimed = true;
 }
 
@@ -366,37 +385,34 @@ MnmBackend::mergeUpTo(EpochWide from, EpochWide upto, Cycle now)
 {
     for (unsigned oidx = 0; oidx < parts.size(); ++oidx) {
         Part &part = parts[oidx];
-        auto it = part.tables.upper_bound(from);
-        while (it != part.tables.end() && it->first <= upto) {
-            EpochTable &table = *it->second;
+        // Epoch by epoch, so a dropped table may shrink the store.
+        for (EpochWide e = std::max(from + 1, part.tables.first());
+             e <= upto && e < part.tables.end(); ++e) {
+            EpochTable *table = part.tables.find(e);
+            if (!table)
+                continue;
             NVO_FAULT_POINT("omc.merge.table");
-            NVO_TRACE(Merge, TableMerge, obs::trackOmc(oidx), now,
-                      it->first, 0);
+            NVO_TRACE(Merge, TableMerge, obs::trackOmc(oidx), now, e, 0);
             std::uint64_t run = 0;
-            table.forEachVersion([&](Addr line_addr, Addr nvm_addr) {
+            table->forEachVersion([&](Addr line_addr, Addr nvm_addr,
+                                      EpochTable::PageEntry &pe) {
                 NVO_FAULT_POINT("omc.merge.version");
                 ++run;
                 if (p.testDropMerge && (++dropMergeTick % 5) == 0)
                     return;   // seeded bug: silently skip the merge
                 auto replaced =
-                    masterInsert(part, line_addr, nvm_addr,
-                                 table.epochId(),
-                                 table.pageEntry(pageAlign(line_addr)));
+                    masterInsert(part, line_addr, nvm_addr, e, &pe);
                 if (replaced)
                     unref(oidx, part, line_addr, *replaced, now);
-                NVO_LEDGER(merged(oidx, line_addr, table.epochId(),
-                                  false, now));
+                NVO_LEDGER(merged(oidx, line_addr, e, false, now));
             });
             NVO_METRIC(record(hMergeRun_, run));
             ++mergeCount;
-            if (p.dropMergedTables) {
-                // DRAM pages of merged per-epoch tables can be
-                // reclaimed immediately (paper Sec. V-D); dropping
-                // the table forfeits time travel into this epoch.
-                it = part.tables.erase(it);
-            } else {
-                ++it;
-            }
+            // DRAM pages of merged per-epoch tables can be reclaimed
+            // immediately (paper Sec. V-D); dropping the table
+            // forfeits time travel into this epoch.
+            if (p.dropMergedTables)
+                part.tables.erase(e);
         }
         flushMeta(part, now);
     }
@@ -478,11 +494,12 @@ MnmBackend::compact(Cycle now)
     for (unsigned oidx = 0; oidx < parts.size(); ++oidx) {
         Part &part = parts[oidx];
         // Oldest merged epoch still holding live versions.
-        for (auto &kv : part.tables) {
-            EpochWide e = kv.first;
-            if (e > recEpoch_)
-                break;
-            EpochTable &table = *kv.second;
+        for (EpochWide e = part.tables.first();
+             e < part.tables.end() && e <= recEpoch_; ++e) {
+            EpochTable *source = part.tables.find(e);
+            if (!source)
+                continue;
+            EpochTable &table = *source;
             bool any_live = false;
             table.forEachPage([&](EpochTable::PageEntry &pe) {
                 if (!pe.reclaimed && pe.liveMaster > 0)
@@ -513,16 +530,12 @@ MnmBackend::compact(Cycle now)
             // epoch, as if those addresses were written now.
             EpochTable &target = getTable(part, recEpoch_);
             std::vector<Addr> moved;
-            table.forEachVersion([&](Addr line_addr, Addr) {
-                const auto *entry = part.master->lookup(line_addr);
-                if (!entry || entry->epoch != e)
-                    return;
-                LineData content;
-                bool ok = table.readVersion(line_addr, content);
-                nvo_assert(ok);
-                moved.push_back(line_addr);
-                (void)content;
-            });
+            table.forEachVersion(
+                [&](Addr line_addr, Addr, EpochTable::PageEntry &) {
+                    const auto *entry = part.master->lookup(line_addr);
+                    if (entry && entry->epoch == e)
+                        moved.push_back(line_addr);
+                });
             // Fairness: serve tenants descending-occupancy first with
             // a rotating tie-break, so one hot tenant cannot
             // monopolize reclamation order across passes.
@@ -535,18 +548,18 @@ MnmBackend::compact(Cycle now)
                 NVO_FAULT_POINT("omc.compact.copy");
                 LineData content;
                 table.readVersion(line_addr, content);
-                const Addr fresh = tableInsert(
+                const EpochTable::Inserted fresh = tableInsert(
                     part, target, line_addr, ~static_cast<SeqNo>(0),
                     content, obs::LedgerCause::CompactionCopy, false,
                     now, unused_stall);
-                if (fresh == invalidAddr)
+                if (fresh.nvmAddr == invalidAddr)
                     return;   // target pool full; give up this pass
                 NVO_LEDGER(insertVersion(
                     oidx, line_addr, recEpoch_,
                     obs::LedgerCause::CompactionCopy, now));
-                auto replaced =
-                    masterInsert(part, line_addr, fresh, recEpoch_,
-                                 target.pageEntry(pageAlign(line_addr)));
+                auto replaced = masterInsert(part, line_addr,
+                                             fresh.nvmAddr, recEpoch_,
+                                             fresh.page);
                 // The source version moved (not died); mark it first
                 // so the unref of its replaced master entry — the
                 // same (line, epoch) — stays a no-op.
@@ -578,19 +591,18 @@ void
 MnmBackend::rebuildTables()
 {
     for (auto &part : parts) {
-        part.pool->forEachHeader(
-            [&](Addr sub_page, const PagePool::SubPageHeader &hdr) {
-                getTable(part, hdr.epoch)
-                    .adoptSubPage(sub_page, hdr);
-            });
+        part.pool->forEachHeader([&](PagePool::HeaderId id, Addr sub_page,
+                                     const PagePool::SubPageHeader &hdr) {
+            getTable(part, hdr.epoch).adoptSubPage(id, sub_page, hdr);
+        });
         // GC refcounts come from what the master still maps.
         part.master->forEach(
             [&](Addr line_addr, const MasterTable::Entry &entry) {
-                auto it = part.tables.find(entry.epoch);
-                if (it == part.tables.end())
+                EpochTable *table = part.tables.find(entry.epoch);
+                if (!table)
                     return;
                 EpochTable::PageEntry *pe =
-                    it->second->pageEntry(pageAlign(line_addr));
+                    table->pageEntry(pageAlign(line_addr));
                 if (pe && !pe->reclaimed)
                     ++pe->liveMaster;
             });
@@ -657,16 +669,15 @@ MnmBackend::readSnapshot(Addr line_addr, EpochWide e, LineData &out,
 {
     const Part &part = parts[omcOf(line_addr)];
     // Fall-through: largest E' <= e whose table maps the address.
-    auto it = part.tables.upper_bound(e);
-    while (it != part.tables.begin()) {
-        --it;
-        if (it->second->readVersion(line_addr, out)) {
+    const EpochWide stop =
+        e < part.tables.end() ? e + 1 : part.tables.end();
+    for (EpochWide f = stop; f > part.tables.first(); --f) {
+        const EpochTable *table = part.tables.find(f - 1);
+        if (table && table->readVersion(line_addr, out)) {
             if (found_epoch)
-                *found_epoch = it->first;
+                *found_epoch = f - 1;
             return true;
         }
-        if (it == part.tables.begin())
-            break;
     }
     // Tables may have been dropped after merging; fall back to the
     // master image when its version is old enough.
@@ -716,12 +727,12 @@ MnmBackend::audit() const
 
         // Live sub-page extents, sorted for point lookups below.
         std::vector<std::pair<Addr, Addr>> extents;
-        part.pool->forEachHeader(
-            [&extents](Addr sub, const PagePool::SubPageHeader &hdr) {
-                extents.emplace_back(
-                    sub, sub + static_cast<Addr>(hdr.capacityLines) *
-                                   lineBytes);
-            });
+        part.pool->forEachHeader([&extents](PagePool::HeaderId, Addr sub,
+                                            const PagePool::SubPageHeader
+                                                &hdr) {
+            extents.emplace_back(
+                sub, sub + static_cast<Addr>(hdr.capacityLines) * lineBytes);
+        });
         std::sort(extents.begin(), extents.end());
         auto in_live_sub_page = [&extents](Addr a) {
             auto it = std::upper_bound(
@@ -733,12 +744,20 @@ MnmBackend::audit() const
             return a >= it->first && a + lineBytes <= it->second;
         };
 
+        const TableStore &tables = part.tables;
+        NVO_AUDIT(tables.first() == tables.end() ||
+                      (tables.find(tables.first()) &&
+                       tables.find(tables.end() - 1)),
+                  "epoch table store has an empty end slot");
         std::uint64_t table_bytes = 0;
-        for (const auto &kv : part.tables) {
-            NVO_AUDIT(kv.first == kv.second->epochId(),
-                      "epoch table keyed under the wrong epoch");
-            kv.second->audit();
-            table_bytes += kv.second->tableBytes();
+        for (EpochWide e = tables.first(); e < tables.end(); ++e) {
+            EpochTable *table = tables.find(e);
+            if (!table)
+                continue;
+            NVO_AUDIT(table->epochId() == e,
+                      "epoch table stored under the wrong epoch");
+            table->audit();
+            table_bytes += table->tableBytes();
 
             // Merge completeness: tables at or below rec-epoch were
             // folded into the master when rec-epoch advanced (or, for
@@ -747,16 +766,17 @@ MnmBackend::audit() const
             // regresses to an older epoch. A violation here means a
             // version certified recoverable is invisible to recovery
             // — a silent snapshot hole.
-            if (kv.first > recEpoch_)
+            if (e > recEpoch_)
                 continue;
-            kv.second->forEachVersion(
-                [&part, &kv](Addr line_addr, Addr) {
+            table->forEachVersion(
+                [&part, e](Addr line_addr, Addr,
+                           const EpochTable::PageEntry &) {
                     const auto *entry =
                         part.master->lookup(line_addr);
                     NVO_AUDIT(entry != nullptr,
                               "merged version missing from the "
                               "master table");
-                    NVO_AUDIT(!entry || entry->epoch >= kv.first,
+                    NVO_AUDIT(!entry || entry->epoch >= e,
                               "master maps an older epoch than a "
                               "merged table");
                 });
@@ -788,13 +808,13 @@ MnmBackend::audit() const
             part.buffer->audit();
             part.buffer->forEachPending(
                 [&part](const OmcBuffer::Pending &pending) {
-                    auto it = part.tables.find(pending.epoch);
-                    NVO_AUDIT(it != part.tables.end(),
+                    const EpochTable *table =
+                        part.tables.find(pending.epoch);
+                    NVO_AUDIT(table != nullptr,
                               "buffered version lost its epoch "
                               "table");
-                    NVO_AUDIT(it == part.tables.end() ||
-                                  it->second->lookupNvm(
-                                      pending.addr) != invalidAddr,
+                    NVO_AUDIT(!table || table->lookupNvm(pending.addr) !=
+                                            invalidAddr,
                               "buffered version missing from its "
                               "table");
                 });
@@ -818,8 +838,7 @@ MnmBackend::pool(unsigned omc)
 EpochTable *
 MnmBackend::epochTable(unsigned omc, EpochWide e)
 {
-    auto it = parts[omc].tables.find(e);
-    return it == parts[omc].tables.end() ? nullptr : it->second.get();
+    return parts[omc].tables.find(e);
 }
 
 std::uint64_t

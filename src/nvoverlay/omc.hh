@@ -9,12 +9,17 @@
  * acts as the master: it maintains the per-VD min-ver array, computes
  * the recoverable epoch, persists `rec-epoch`, and drives table
  * merging when the recoverable epoch advances.
+ *
+ * A partition finds an epoch's table by index arithmetic (TableStore:
+ * a deque offset by its oldest epoch), and a version's page entry
+ * carries its sub-page header's slab slot, so the insert and merge
+ * paths cost the same however many epochs the run has retained.
  */
 
 #ifndef NVO_NVOVERLAY_OMC_HH
 #define NVO_NVOVERLAY_OMC_HH
 
-#include <map>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -233,6 +238,39 @@ class MnmBackend
     std::uint64_t poolPagesTotal() const;
 
   private:
+    /**
+     * One partition's per-epoch tables, indexed by epoch: slot i holds
+     * the table of epoch first() + i, null where the partition saw no
+     * version or its table was dropped. Both end slots are non-null,
+     * so lookup, insert and erase are index arithmetic. A table below
+     * the front (a late version re-creating a dropped epoch's) grows
+     * the store at the front.
+     */
+    class TableStore
+    {
+      public:
+        /** Epoch @p e's table, or nullptr. */
+        EpochTable *
+        find(EpochWide e) const
+        {
+            return e >= front && e - front < slots.size()
+                       ? slots[e - front].get()
+                       : nullptr;
+        }
+        /** Store @p table (whose epoch has none) and return it. */
+        EpochTable &insert(std::unique_ptr<EpochTable> table);
+        /** Drop epoch @p e's table, which must exist. */
+        void erase(EpochWide e);
+        void clear() { slots.clear(); }
+        /** The store spans epochs [first(), end()). */
+        EpochWide first() const { return front; }
+        EpochWide end() const { return front + slots.size(); }
+
+      private:
+        std::deque<std::unique_ptr<EpochTable>> slots;
+        EpochWide front = 0;
+    };
+
     struct Part
     {
         std::unique_ptr<PagePool> pool;
@@ -242,7 +280,7 @@ class MnmBackend
          *  outlives the tables that subtract themselves on
          *  destruction). */
         std::uint64_t tableBytes = 0;
-        std::map<EpochWide, std::unique_ptr<EpochTable>> tables;
+        TableStore tables;
         std::unique_ptr<OmcBuffer> buffer;
         std::uint64_t pendingMetaBytes = 0;
         Addr metaCursor = 0;
@@ -278,13 +316,16 @@ class MnmBackend
      * versions. @p cause names the data write; relocations count as
      * SubpageReloc, except that a CompactionCopy pays for both and
      * for gcBytesCopied. Device-write stalls add to @p stall. Returns
-     * the version's NVM slot, or invalidAddr, having written nothing,
-     * when the pool is exhausted.
+     * the insert: the version's NVM slot and page entry, or an
+     * invalidAddr slot, having written nothing, when the pool is
+     * exhausted.
      */
-    Addr tableInsert(Part &part, EpochTable &table, Addr line_addr,
-                     SeqNo seq, const LineData &content,
-                     obs::LedgerCause cause, bool buffered, Cycle now,
-                     Cycle &stall);
+    EpochTable::Inserted tableInsert(Part &part, EpochTable &table,
+                                     Addr line_addr, SeqNo seq,
+                                     const LineData &content,
+                                     obs::LedgerCause cause,
+                                     bool buffered, Cycle now,
+                                     Cycle &stall);
 
     /** Map @p line_addr to @p nvm_addr, epoch @p e's version, in the
      *  master (journaled by the master while the persist domain is

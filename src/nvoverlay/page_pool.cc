@@ -30,14 +30,11 @@ PagePool::stageAllocator(const AllocatorUndo &rec)
 }
 
 void
-PagePool::stageHeader(Addr sub_page, const SubPageHeader *old)
+PagePool::stageHeader(const HeaderUndo &rec, const HeaderSlot *before)
 {
-    if (old) {
-        headerUndo.push_back({sub_page, HeaderUndo::Op::Whole});
-        headerImages.push_back(*old);
-    } else {
-        headerUndo.push_back({sub_page, HeaderUndo::Op::Absent});
-    }
+    headerUndo.push_back(rec);
+    if (before)
+        headerImages.push_back(*before);
     staged(PersistDomain::Kind::PoolHeader);
 }
 
@@ -53,28 +50,39 @@ PagePool::commit()
 void
 PagePool::unwind()
 {
-    // Image lines, the header map and the allocator are disjoint
+    // Image lines, the header slab and the allocator are disjoint
     // state, so each stack unwinds on its own, newest record first:
     // each undo then sees its part of the pool exactly as it was just
-    // after its own mutation ran.
+    // after its own mutation ran. That also restores the slab's free
+    // stack exactly, so a rebuild adopts headers in the same order.
     for (; !lineUndo.empty(); lineUndo.pop_back())
         image.writeLine(lineUndo.back().addr, lineUndo.back().old);
     for (; !headerUndo.empty(); headerUndo.pop_back()) {
         const HeaderUndo &rec = headerUndo.back();
+        HeaderSlot &s = slotOf(rec.id);
         switch (rec.op) {
-        case HeaderUndo::Op::Absent:
-            headers.erase(rec.subPage);
+        case HeaderUndo::Op::Taken:
+            s.subPage = invalidAddr;
+            freeHeaders.push_back(rec.id);
             break;
-        case HeaderUndo::Op::Whole:
-            headers[rec.subPage] = headerImages.back();
+        case HeaderUndo::Op::Appended:
+            s.subPage = invalidAddr;
+            --headerCount;
+            break;
+        case HeaderUndo::Op::Dropped:
+            nvo_assert(!freeHeaders.empty() &&
+                           freeHeaders.back() == rec.id,
+                       "dropped header slot is not the newest free one");
+            freeHeaders.pop_back();
+            [[fallthrough]];
+        case HeaderUndo::Op::Rewritten:
+            s = headerImages.back();
             headerImages.pop_back();
             break;
-        case HeaderUndo::Op::Slot: {
-            SubPageHeader &hdr = headers.at(rec.subPage);
-            hdr.usedLines = rec.usedLines;
-            hdr.slotLine[rec.slot] = rec.slotLine;
+        case HeaderUndo::Op::Filled:
+            s.hdr.usedLines = rec.usedLines;
+            s.hdr.slotLine[rec.slot] = rec.slotLine;
             break;
-        }
         }
     }
     for (; !allocatorUndo.empty(); allocatorUndo.pop_back())
@@ -272,56 +280,82 @@ PagePool::readLine(Addr nvm_addr, LineData &out) const
     image.readLine(nvm_addr, out);
 }
 
-void
-PagePool::setHeader(Addr sub_page, const SubPageHeader &hdr)
+PagePool::HeaderId
+PagePool::setHeader(HeaderId id, Addr sub_page, const SubPageHeader &hdr)
 {
-    auto [it, fresh] = headers.try_emplace(sub_page);
-    if (journaling())
-        stageHeader(sub_page, fresh ? nullptr : &it->second);
-    it->second = hdr;
+    nvo_assert(sub_page != invalidAddr);
+    if (id != noHeader) {
+        nvo_assert(headerSubPage(id) != invalidAddr,
+                   "rewrite of a free header slot");
+        if (journaling())
+            stageHeader({id, HeaderUndo::Op::Rewritten}, &slotOf(id));
+    } else if (!freeHeaders.empty()) {
+        id = freeHeaders.back();
+        freeHeaders.pop_back();
+        if (journaling())
+            stageHeader({id, HeaderUndo::Op::Taken});
+    } else {
+        nvo_assert(headerCount != noHeader, "header slab is full");
+        id = headerCount++;
+        if ((id >> slabChunkLog2) == slab.size())
+            slab.push_back(std::make_unique<HeaderSlot[]>(slabChunk));
+        if (journaling())
+            stageHeader({id, HeaderUndo::Op::Appended});
+    }
+    HeaderSlot &s = slotOf(id);
+    s.subPage = sub_page;
+    s.hdr = hdr;
+    return id;
 }
 
 const PagePool::SubPageHeader *
-PagePool::header(Addr sub_page) const
+PagePool::header(HeaderId id) const
 {
-    auto it = headers.find(sub_page);
-    return it == headers.end() ? nullptr : &it->second;
+    return headerSubPage(id) == invalidAddr ? nullptr : &slotOf(id).hdr;
+}
+
+Addr
+PagePool::headerSubPage(HeaderId id) const
+{
+    return id < headerCount ? slotOf(id).subPage : invalidAddr;
 }
 
 void
-PagePool::fillSlot(Addr sub_page, unsigned slot, unsigned line_in_page)
+PagePool::fillSlot(HeaderId id, unsigned slot, unsigned line_in_page)
 {
-    auto it = headers.find(sub_page);
-    if (it == headers.end())
-        return;
-    SubPageHeader &hdr = it->second;
-    if (journaling()) {
-        headerUndo.push_back({sub_page, HeaderUndo::Op::Slot,
-                              static_cast<std::uint8_t>(slot),
-                              hdr.usedLines, hdr.slotLine[slot]});
-        staged(PersistDomain::Kind::PoolHeader);
-    }
+    nvo_assert(headerSubPage(id) != invalidAddr,
+               "fill of a free header slot");
+    SubPageHeader &hdr = slotOf(id).hdr;
+    if (journaling())
+        stageHeader({id, HeaderUndo::Op::Filled,
+                     static_cast<std::uint8_t>(slot), hdr.usedLines,
+                     hdr.slotLine[slot]});
     hdr.usedLines = static_cast<std::uint8_t>(slot + 1);
     hdr.slotLine[slot] = static_cast<std::uint8_t>(line_in_page);
 }
 
 void
-PagePool::dropHeader(Addr sub_page)
+PagePool::dropHeader(HeaderId id)
 {
-    auto it = headers.find(sub_page);
-    if (it == headers.end())
-        return;
+    nvo_assert(headerSubPage(id) != invalidAddr,
+               "drop of a free header slot");
+    HeaderSlot &s = slotOf(id);
     if (journaling())
-        stageHeader(sub_page, &it->second);
-    headers.erase(it);
+        stageHeader({id, HeaderUndo::Op::Dropped}, &s);
+    s.subPage = invalidAddr;
+    freeHeaders.push_back(id);
 }
 
 void
 PagePool::forEachHeader(
-    const std::function<void(Addr, const SubPageHeader &)> &fn) const
+    const std::function<void(HeaderId, Addr, const SubPageHeader &)> &fn)
+    const
 {
-    for (const auto &kv : headers)
-        fn(kv.first, kv.second);
+    for (HeaderId id = 0; id < headerCount; ++id) {
+        const HeaderSlot &s = slotOf(id);
+        if (s.subPage != invalidAddr)
+            fn(id, s.subPage, s.hdr);
+    }
 }
 
 bool
@@ -372,9 +406,22 @@ PagePool::audit() const
             free_bytes += block_bytes;
         }
     }
-    for (const auto &kv : headers) {
-        const SubPageHeader &hdr = kv.second;
-        NVO_AUDIT(pageAllocated(kv.first),
+    // Every slab slot is live or free-listed, exactly once: a journal
+    // unwind that lost a slot would leak it, one that listed a slot
+    // twice would hand it out to two headers.
+    std::vector<bool> listed(headerCount, false);
+    for (HeaderId id : freeHeaders) {
+        NVO_AUDIT(id < headerCount, "free header slot beyond the slab");
+        if (id >= headerCount)
+            continue;
+        NVO_AUDIT(!listed[id], "header slot free-listed twice");
+        NVO_AUDIT(slotOf(id).subPage == invalidAddr,
+                  "live header slot on the free list");
+        listed[id] = true;
+    }
+    forEachHeader([&](HeaderId id, Addr sub, const SubPageHeader &hdr) {
+        listed[id] = true;
+        NVO_AUDIT(pageAllocated(sub),
                   "sub-page header outside any allocated page");
         NVO_AUDIT(hdr.capacityLines >= 1 &&
                       hdr.capacityLines <= linesPerPage,
@@ -382,11 +429,13 @@ PagePool::audit() const
         NVO_AUDIT(hdr.usedLines <= hdr.capacityLines,
                   "sub-page header uses more lines than it holds");
         extents.push_back(
-            {kv.first,
-             kv.first + static_cast<Addr>(hdr.capacityLines) *
-                            lineBytes,
+            {sub, sub + static_cast<Addr>(hdr.capacityLines) * lineBytes,
              false});
-    }
+    });
+    NVO_AUDIT(std::count(listed.begin(), listed.end(), false) == 0,
+              "header slot neither live nor free-listed (leaked)");
+    NVO_AUDIT(slab.size() << slabChunkLog2 >= headerCount,
+              "header slab chunks do not cover its slots");
     std::sort(extents.begin(), extents.end(),
               [](const Extent &a, const Extent &b) {
                   return a.lo < b.lo;

@@ -9,6 +9,12 @@
  * header (source page address, epoch, slot map) that makes the NVM
  * image self-describing, which is what lets recovery rebuild the
  * volatile per-epoch tables.
+ *
+ * The headers live in a slab: fixed chunks of slots, each slot
+ * naming its sub-page, with a stack of free slots. The epoch-table
+ * page entry that owns a sub-page keeps its slot number (HeaderId),
+ * so filling, rewriting and dropping a header is O(1), with no heap
+ * node per header and no rehash.
  */
 
 #ifndef NVO_NVOVERLAY_PAGE_POOL_HH
@@ -19,7 +25,7 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <unordered_map>
+#include <memory>
 #include <variant>
 #include <vector>
 
@@ -53,6 +59,10 @@ class PagePool : private PersistDomain::Journal
         std::array<std::uint8_t, linesPerPage> slotLine{};
     };
 
+    /** Slab slot of a sub-page header. */
+    using HeaderId = std::uint32_t;
+    static constexpr HeaderId noHeader = ~static_cast<HeaderId>(0);
+
     PagePool(Addr base_addr, std::uint64_t size_bytes);
 
     /**
@@ -83,21 +93,32 @@ class PagePool : private PersistDomain::Journal
     void writeLine(Addr nvm_addr, const LineData &content);
     void readLine(Addr nvm_addr, LineData &out) const;
 
-    /** Persistent header bookkeeping. */
-    void setHeader(Addr sub_page, const SubPageHeader &header);
-    const SubPageHeader *header(Addr sub_page) const;
     /**
-     * Slot @p slot of @p sub_page now holds line @p line_in_page: the
-     * header's fill becomes slot + 1. Journals only those two fields.
-     * No-op when the sub-page has no header.
+     * Write @p header as the persistent header of @p sub_page into
+     * slab slot @p id, and return the slot: noHeader takes the newest
+     * free slot (a new header), a live slot is rewritten in place.
      */
-    void fillSlot(Addr sub_page, unsigned slot, unsigned line_in_page);
-    void dropHeader(Addr sub_page);
+    HeaderId setHeader(HeaderId id, Addr sub_page,
+                       const SubPageHeader &header);
+    /** The live header in slot @p id; nullptr when the slot is free or
+     *  @p id is noHeader. */
+    const SubPageHeader *header(HeaderId id) const;
+    /** The sub-page slot @p id describes; invalidAddr when free. */
+    Addr headerSubPage(HeaderId id) const;
+    /**
+     * Slot @p slot of header @p id's sub-page now holds line
+     * @p line_in_page: the header's fill becomes slot + 1. Journals
+     * only those two fields.
+     */
+    void fillSlot(HeaderId id, unsigned slot, unsigned line_in_page);
+    /** Free header @p id's slot. */
+    void dropHeader(HeaderId id);
 
-    /** Visit all live sub-page headers (recovery rebuild). */
+    /** Visit all live sub-page headers in slab order (recovery
+     *  rebuild): fn(id, sub_page, header). */
     void forEachHeader(
-        const std::function<void(Addr, const SubPageHeader &)> &fn)
-        const;
+        const std::function<void(HeaderId, Addr, const SubPageHeader &)>
+            &fn) const;
 
     std::uint64_t totalPages() const { return numPages; }
     std::uint64_t pagesInUse() const { return usedPages; }
@@ -128,7 +149,8 @@ class PagePool : private PersistDomain::Journal
      * and overlap neither each other nor any live sub-page header;
      * every byte of an in-use page is accounted exactly once
      * (allocated + free-listed == usedPages * pageBytes); the
-     * used-page count matches the bitmap population.
+     * used-page count matches the bitmap population; every header
+     * slab slot is either live or on the free list, exactly once.
      */
     void audit() const;
 
@@ -144,18 +166,28 @@ class PagePool : private PersistDomain::Journal
         LineData old;
     };
 
-    /** Header-map change. A Whole record's before-image is the
-     *  newest entry of headerImages. */
+    /** One slab slot: a live header and its sub-page, or a free slot
+     *  (subPage == invalidAddr). */
+    struct HeaderSlot
+    {
+        Addr subPage = invalidAddr;
+        SubPageHeader hdr;
+    };
+
+    /** Header-slab change, by slot. A Rewritten or Dropped record's
+     *  before-image is the newest entry of headerImages. */
     struct HeaderUndo
     {
         enum class Op : std::uint8_t
         {
-            Absent,   ///< no header before: erase it
-            Whole,    ///< restore the whole before-image
-            Slot      ///< restore usedLines and one slotLine entry
+            Taken,       ///< slot came off the free list: push it back
+            Appended,    ///< slot was new at the slab's end: pop it
+            Rewritten,   ///< restore the slot's whole before-image
+            Dropped,     ///< re-take the slot, restore its before-image
+            Filled       ///< restore usedLines and one slotLine entry
         };
-        Addr subPage = invalidAddr;
-        Op op = Op::Absent;
+        HeaderId id = noHeader;
+        Op op = Op::Taken;
         std::uint8_t slot = 0;
         std::uint8_t usedLines = 0;
         std::uint8_t slotLine = 0;
@@ -188,9 +220,9 @@ class PagePool : private PersistDomain::Journal
     using AllocatorUndo =
         std::variant<PageUndo, AllocUndo, FreeUndo, ExtendUndo>;
 
-    /** Stage the header change at @p sub_page, whose current header
-     *  is @p old (nullptr when absent). */
-    void stageHeader(Addr sub_page, const SubPageHeader *old);
+    /** Stage @p rec; @p before, when non-null, is its before-image. */
+    void stageHeader(const HeaderUndo &rec,
+                     const HeaderSlot *before = nullptr);
     void stageAllocator(const AllocatorUndo &rec);
     void undo(const PageUndo &rec);
     void undo(const AllocUndo &rec);
@@ -201,6 +233,18 @@ class PagePool : private PersistDomain::Journal
 
     /** Take one fresh page from the bitmap. */
     Addr allocPage();
+
+    /** Slab slot @p id (which must be below headerCount). */
+    HeaderSlot &
+    slotOf(HeaderId id)
+    {
+        return slab[id >> slabChunkLog2][id & (slabChunk - 1)];
+    }
+    const HeaderSlot &
+    slotOf(HeaderId id) const
+    {
+        return slab[id >> slabChunkLog2][id & (slabChunk - 1)];
+    }
 
     Addr base;
     /** Bitmap words probed per allocPage (scanHint effectiveness:
@@ -221,10 +265,18 @@ class PagePool : private PersistDomain::Journal
     /** Free lists per order (order k = 2^k lines). */
     std::array<std::vector<Addr>, maxOrder + 1> freeLists;
     BackingStore image;
-    std::unordered_map<Addr, SubPageHeader> headers;
+    /** Header slab: chunks of slabChunk slots, never moved, so the
+     *  slab grows without copying and wastes at most one chunk. */
+    static constexpr unsigned slabChunkLog2 = 8;
+    static constexpr HeaderId slabChunk = HeaderId{1} << slabChunkLog2;
+    std::vector<std::unique_ptr<HeaderSlot[]>> slab;
+    /** Slots in use or free-listed: [0, headerCount). */
+    HeaderId headerCount = 0;
+    /** Free slots below headerCount, reused newest first. */
+    std::vector<HeaderId> freeHeaders;
     std::deque<LineUndo> lineUndo;
     std::deque<HeaderUndo> headerUndo;
-    std::deque<SubPageHeader> headerImages;
+    std::deque<HeaderSlot> headerImages;
     std::deque<AllocatorUndo> allocatorUndo;
 };
 

@@ -78,7 +78,8 @@ DeltaShipper::shipEpoch(EpochWide e, Cycle now)
         EpochTable *table = backend.epochTable(omc, e);
         if (!table)
             continue;   // this partition saw no writes in epoch e
-        table->forEachVersion([&](Addr line_addr, Addr) {
+        table->forEachVersion([&](Addr line_addr, Addr,
+                                  const EpochTable::PageEntry &) {
             LineData content;
             bool ok = table->readVersion(line_addr, content);
             nvo_assert(ok, "epoch-table version unreadable while "

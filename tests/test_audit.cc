@@ -188,11 +188,12 @@ TEST(AuditDeath, HeaderEpochCorruptionIsCaught)
     ASSERT_EQ(table.lookupNvm(0x1000), sub);
     // Seeded corruption: the persistent header claims another epoch.
     // (The first insert lands in slot 0, so its slot is the sub-page
-    // base the header is keyed by.)
-    ASSERT_NE(pool.header(sub), nullptr);
-    PagePool::SubPageHeader hdr = *pool.header(sub);
+    // base the header describes.)
+    const PagePool::HeaderId id = table.pageEntry(0x1000)->header;
+    ASSERT_NE(pool.header(id), nullptr);
+    PagePool::SubPageHeader hdr = *pool.header(id);
     hdr.epoch = 99;
-    pool.setHeader(sub, hdr);
+    pool.setHeader(id, sub, hdr);
     EXPECT_DEATH(table.audit(), "header epoch");
 }
 

@@ -154,8 +154,9 @@ TEST_F(EpochTableTest, SameEpochOverwriteKeepsNewest)
 // A page entry keeps one seqno per slot of its sub-page, not 64: with
 // thousands of epoch tables alive, its size is most of a table's host
 // memory.
-static_assert(sizeof(EpochTable::PageEntry) <= 128,
-              "PageEntry grew past two cache lines");
+static_assert(sizeof(EpochTable::PageEntry) <= 112,
+              "PageEntry outgrew its 112 B (the header slot id fits "
+              "its padding)");
 
 TEST_F(EpochTableTest, HeaderDescribesSubPage)
 {
@@ -163,7 +164,8 @@ TEST_F(EpochTableTest, HeaderDescribesSubPage)
     insert(0x3040, 2, lineOf(8));
     const auto *pe = table->pageEntry(0x3000);
     ASSERT_NE(pe, nullptr);
-    const auto *hdr = pool.header(pe->subPage);
+    const auto *hdr = pool.header(pe->header);
+    EXPECT_EQ(pool.headerSubPage(pe->header), pe->subPage);
     ASSERT_NE(hdr, nullptr);
     EXPECT_EQ(hdr->srcPage, 0x3000u);
     EXPECT_EQ(hdr->epoch, 7u);
@@ -184,7 +186,8 @@ TEST_F(EpochTableTest, ForEachVersionVisitsAll)
     }
     std::map<Addr, bool> got;
     table->forEachVersion(
-        [&](Addr line, Addr nvm) {
+        [&](Addr line, Addr nvm, const EpochTable::PageEntry &pe) {
+            EXPECT_EQ(pe.pageAddr, pageAlign(line));
             got[line] = true;
             EXPECT_NE(nvm, invalidAddr);
         });

@@ -207,6 +207,75 @@ TEST_F(MnmTest, SnapshotFallThroughSemantics)
     EXPECT_EQ(found, 5u);
 }
 
+TEST_F(MnmTest, TableStoreGapsAndLateRecreation)
+{
+    // Versions at epochs 1, 4 and 9: the partition's table store spans
+    // epochs 1-9 with gaps.
+    backend->insertVersion(0x1000, 1, ++seq, lineOf(1), 0);
+    backend->insertVersion(0x1000, 4, ++seq, lineOf(4), 0);
+    backend->insertVersion(0x1000, 9, ++seq, lineOf(9), 0);
+    const unsigned omc = backend->omcOf(0x1000);
+    EXPECT_NE(backend->epochTable(omc, 1), nullptr);
+    EXPECT_NE(backend->epochTable(omc, 4), nullptr);
+    EXPECT_NE(backend->epochTable(omc, 9), nullptr);
+    EXPECT_EQ(backend->epochTable(omc, 6), nullptr) << "a gap";
+    EXPECT_EQ(backend->epochTable(omc, 0), nullptr) << "below the store";
+    EXPECT_EQ(backend->epochTable(omc, 10), nullptr) << "past the store";
+    EXPECT_EQ(backend->epochTable(1 - omc, 4), nullptr);
+
+    LineData out;
+    EpochWide found = 0;
+    ASSERT_TRUE(backend->readSnapshot(0x1000, 3, out, &found));
+    EXPECT_EQ(found, 1u);
+    EXPECT_EQ(out, lineOf(1));
+    ASSERT_TRUE(backend->readSnapshot(0x1000, 8, out, &found));
+    EXPECT_EQ(found, 4u);
+    EXPECT_EQ(out, lineOf(4));
+    ASSERT_TRUE(backend->readSnapshot(0x1000, 1000, out, &found));
+    EXPECT_EQ(found, 9u);
+    EXPECT_FALSE(backend->readSnapshot(0x1000, 0, out, &found));
+
+    // Dropping merged tables moves the store's front past them; a late
+    // version at a dropped epoch re-creates its table below the front,
+    // and the late-merge path maps it in the master.
+    params.dropMergedTables = true;
+    rebuild();
+    backend->insertVersion(0x1000, 2, ++seq, lineOf(2), 0);
+    backend->insertVersion(0x1000, 5, ++seq, lineOf(5), 0);
+    backend->insertVersion(0x1000, 8, ++seq, lineOf(8), 0);
+    backend->reportMinVer(0, 6, 0);
+    backend->reportMinVer(1, 6, 0);
+    ASSERT_EQ(backend->recEpoch(), 5u);
+    EXPECT_EQ(backend->epochTable(omc, 2), nullptr);
+    EXPECT_EQ(backend->epochTable(omc, 5), nullptr);
+    ASSERT_NE(backend->epochTable(omc, 8), nullptr);
+
+    const Addr late = 0x2000;
+    ASSERT_EQ(backend->omcOf(late), omc);
+    backend->insertVersion(late, 2, ++seq, lineOf(22), 0);
+    const EpochTable *table = backend->epochTable(omc, 2);
+    ASSERT_NE(table, nullptr) << "the dropped epoch's table is re-created";
+    const auto *entry = backend->master(omc).lookup(late);
+    ASSERT_NE(entry, nullptr) << "the late version was never merged";
+    EXPECT_EQ(entry->epoch, 2u);
+    EXPECT_EQ(entry->nvmAddr, table->lookupNvm(late));
+    ASSERT_TRUE(backend->readMaster(late, out));
+    EXPECT_EQ(out, lineOf(22));
+    ASSERT_TRUE(backend->readSnapshot(late, 4, out, &found));
+    EXPECT_EQ(found, 2u);
+    backend->audit();
+
+    // The next advance merges and drops epoch 8 and leaves the
+    // re-created table, already merged, alone.
+    backend->reportMinVer(0, 9, 0);
+    backend->reportMinVer(1, 9, 0);
+    EXPECT_EQ(backend->epochTable(omc, 8), nullptr);
+    EXPECT_NE(backend->epochTable(omc, 2), nullptr);
+    ASSERT_TRUE(backend->readMaster(0x1000, out));
+    EXPECT_EQ(out, lineOf(8));
+    backend->audit();
+}
+
 TEST_F(MnmTest, BufferAbsorbsRedundantWrites)
 {
     params.useBuffer = true;

@@ -110,27 +110,49 @@ TEST(PagePool, ContentRoundTrip)
 
 TEST(PagePool, HeaderLifecycle)
 {
-    PagePool pool(base, pageBytes);
+    PagePool pool(base, 4 * pageBytes);
     Addr a = pool.allocLines(8, 0);
-    EXPECT_EQ(pool.header(a), nullptr);
     PagePool::SubPageHeader hdr;
     hdr.srcPage = 0x123000;
     hdr.epoch = 42;
     hdr.capacityLines = 8;
-    pool.setHeader(a, hdr);
-    ASSERT_NE(pool.header(a), nullptr);
-    EXPECT_EQ(pool.header(a)->srcPage, 0x123000u);
-    EXPECT_EQ(pool.header(a)->epoch, 42u);
+    const PagePool::HeaderId id =
+        pool.setHeader(PagePool::noHeader, a, hdr);
+    ASSERT_NE(pool.header(id), nullptr);
+    EXPECT_EQ(pool.header(id)->srcPage, 0x123000u);
+    EXPECT_EQ(pool.header(id)->epoch, 42u);
+    EXPECT_EQ(pool.headerSubPage(id), a);
 
     unsigned count = 0;
-    pool.forEachHeader([&](Addr at, const PagePool::SubPageHeader &h) {
+    pool.forEachHeader([&](PagePool::HeaderId at_id, Addr at,
+                           const PagePool::SubPageHeader &h) {
         ++count;
+        EXPECT_EQ(at_id, id);
         EXPECT_EQ(at, a);
         EXPECT_EQ(h.epoch, 42u);
     });
     EXPECT_EQ(count, 1u);
-    pool.dropHeader(a);
-    EXPECT_EQ(pool.header(a), nullptr);
+
+    // A live slot is rewritten in place.
+    hdr.epoch = 7;
+    EXPECT_EQ(pool.setHeader(id, a, hdr), id);
+    EXPECT_EQ(pool.header(id)->epoch, 7u);
+
+    // A grown page drops its header and sets one on its new sub-page,
+    // which takes the slot just freed.
+    const Addr b = pool.allocLines(8, 0);
+    const PagePool::HeaderId other =
+        pool.setHeader(PagePool::noHeader, b, hdr);
+    EXPECT_NE(other, id);
+    pool.dropHeader(id);
+    EXPECT_EQ(pool.header(id), nullptr);
+    EXPECT_EQ(pool.headerSubPage(id), invalidAddr);
+    pool.freeLines(a, 8, 0);
+    const Addr grown = pool.allocLines(16, 0);
+    hdr.capacityLines = 16;
+    EXPECT_EQ(pool.setHeader(PagePool::noHeader, grown, hdr), id);
+    EXPECT_EQ(pool.headerSubPage(id), grown);
+    pool.audit();
 }
 
 TEST(PagePool, UtilizationTracksPages)

@@ -59,8 +59,9 @@ TEST(PersistDomain, DisarmedStagesNothing)
     Addr sp = pool.allocLines(4, 0);
     ASSERT_NE(sp, invalidAddr);
     pool.writeLine(sp, lineOf(0xAA));
-    pool.setHeader(sp, headerOf(0x1000, 4));
-    pool.fillSlot(sp, 0, 0);
+    const PagePool::HeaderId id =
+        pool.setHeader(PagePool::noHeader, sp, headerOf(0x1000, 4));
+    pool.fillSlot(id, 0, 0);
     mt.insert(tenant::keyOf(0x1000), sp, 1);
     EXPECT_EQ(pd.inFlight(), 0u);
     EXPECT_EQ(pd.stagedTotal(), 0u);
@@ -71,8 +72,8 @@ TEST(PersistDomain, DisarmedStagesNothing)
     LineData out;
     pool.readLine(sp, out);
     EXPECT_EQ(out, lineOf(0xAA));
-    ASSERT_NE(pool.header(sp), nullptr);
-    EXPECT_EQ(pool.header(sp)->usedLines, 1);
+    ASSERT_NE(pool.header(id), nullptr);
+    EXPECT_EQ(pool.header(id)->usedLines, 1);
     EXPECT_EQ(pool.bytesAllocated(), 4u * lineBytes);
     ASSERT_NE(mt.lookup(0x1000), nullptr);
     EXPECT_EQ(mt.lookup(0x1000)->nvmAddr, sp);
@@ -164,22 +165,32 @@ TEST(PersistDomain, PagePoolCrashRestoresDurablePrefix)
     hdr.srcPage = 0x1000;
     hdr.capacityLines = 4;
     hdr.usedLines = 1;
-    pool.setHeader(sp, hdr);
+    const PagePool::HeaderId id = pool.setHeader(PagePool::noHeader, sp, hdr);
     pd.barrier();
     std::uint64_t durable_bytes = pool.bytesAllocated();
     std::uint64_t durable_pages = pool.pagesInUse();
 
-    // In-flight suffix: overwrite, grow the header, allocate more,
-    // free the original block.
+    // In-flight suffix: overwrite, grow the header, drop it and set it
+    // again (its slot comes back off the free list) and fill a slot,
+    // allocate more with a header in a new slab slot, free the
+    // original block.
     pool.writeLine(sp, lineOf(0xBB));
     PagePool::SubPageHeader grown = hdr;
     grown.usedLines = 3;
-    pool.setHeader(sp, grown);
+    pool.setHeader(id, sp, grown);
+    pool.dropHeader(id);
+    const PagePool::HeaderId again =
+        pool.setHeader(PagePool::noHeader, sp, grown);
+    EXPECT_EQ(again, id) << "a freed slab slot is reused first";
+    pool.fillSlot(again, 3, 7);
     Addr sp2 = pool.allocLines(8, 0);
     ASSERT_NE(sp2, invalidAddr);
+    const PagePool::HeaderId id2 =
+        pool.setHeader(PagePool::noHeader, sp2, headerOf(0x2000, 8));
+    EXPECT_NE(id2, id);
     pool.writeLine(sp2, lineOf(0xCC));
     pool.freeLines(sp, 4, 0);
-    pool.dropHeader(sp);
+    pool.dropHeader(again);
     ASSERT_GT(pd.inFlight(), 0u);
 
     pd.truncateToDurable();
@@ -187,12 +198,23 @@ TEST(PersistDomain, PagePoolCrashRestoresDurablePrefix)
     LineData out;
     pool.readLine(sp, out);
     EXPECT_EQ(out, lineOf(0xAA));
-    const PagePool::SubPageHeader *h = pool.header(sp);
+    const PagePool::SubPageHeader *h = pool.header(id);
     ASSERT_NE(h, nullptr);
+    EXPECT_EQ(pool.headerSubPage(id), sp);
     EXPECT_EQ(h->srcPage, 0x1000u);
     EXPECT_EQ(h->usedLines, 1);
+    EXPECT_EQ(h->slotLine[3], 0);
+    EXPECT_EQ(pool.header(id2), nullptr) << "sp2's header never persisted";
     EXPECT_EQ(pool.bytesAllocated(), durable_bytes);
     EXPECT_EQ(pool.pagesInUse(), durable_pages);
+    pool.audit();
+
+    // The slab is back to its durable shape: the next header takes
+    // the slot sp2's did, and neither slot leaked nor doubled.
+    const Addr sp3 = pool.allocLines(8, 0);
+    ASSERT_NE(sp3, invalidAddr);
+    EXPECT_EQ(pool.setHeader(PagePool::noHeader, sp3, headerOf(0x3000, 8)),
+              id2);
     pool.audit();
 }
 
@@ -279,6 +301,7 @@ class JournalFuzz
         Addr addr;
         unsigned lines;
         tenant::Asid asid;
+        PagePool::HeaderId header = PagePool::noHeader;
     };
 
     void
@@ -297,7 +320,7 @@ class JournalFuzz
                 static_cast<tenant::Asid>(rng.below(3));
             const Addr addr = pool.allocLines(size, asid);
             if (addr != invalidAddr)
-                live.push_back({addr, size, asid});
+                live.push_back({addr, size, asid, PagePool::noHeader});
         } else if (op < 16) {
             pool.extend(1 + rng.below(4));
         } else if (live.empty()) {
@@ -305,7 +328,8 @@ class JournalFuzz
         } else if (op < 24) {
             // A reclaim: the header goes before the storage.
             const std::size_t i = rng.below(live.size());
-            pool.dropHeader(live[i].addr);
+            if (live[i].header != PagePool::noHeader)
+                pool.dropHeader(live[i].header);
             pool.freeLines(live[i].addr, live[i].lines, live[i].asid);
             live[i] = live.back();
             live.pop_back();
@@ -319,7 +343,7 @@ class JournalFuzz
             pool.writeLine(line, d);
             lines.insert(line);
         } else if (op < 58) {
-            const Block &b = pick();
+            Block &b = pick();
             PagePool::SubPageHeader hdr;
             hdr.srcPage = rng.below(1024) * pageBytes;
             hdr.epoch = rng.below(1000);
@@ -328,15 +352,18 @@ class JournalFuzz
                 rng.below(b.lines + 1));
             for (auto &li : hdr.slotLine)
                 li = static_cast<std::uint8_t>(rng.below(linesPerPage));
-            pool.setHeader(b.addr, hdr);
+            b.header = pool.setHeader(b.header, b.addr, hdr);
         } else if (op < 72) {
             const Block &b = pick();
-            pool.fillSlot(b.addr,
-                          static_cast<unsigned>(rng.below(b.lines)),
-                          static_cast<unsigned>(
-                              rng.below(linesPerPage)));
+            const auto slot = static_cast<unsigned>(rng.below(b.lines));
+            const auto li = static_cast<unsigned>(rng.below(linesPerPage));
+            if (b.header != PagePool::noHeader)
+                pool.fillSlot(b.header, slot, li);
         } else if (op < 76) {
-            pool.dropHeader(pick().addr);
+            Block &b = pick();
+            if (b.header != PagePool::noHeader)
+                pool.dropHeader(b.header);
+            b.header = PagePool::noHeader;
         } else {
             // masterInsert's path: a tenant-tagged key into the
             // attached master.
@@ -353,7 +380,7 @@ class JournalFuzz
         }
     }
 
-    const Block &pick() { return live[rng.below(live.size())]; }
+    Block &pick() { return live[rng.below(live.size())]; }
 
     Rng rng;
     const std::uint64_t barrierOdds;
@@ -361,7 +388,8 @@ class JournalFuzz
 };
 
 /** What a crash must restore: the durable structures' whole state,
- *  and the next allocations, which expose the free lists. */
+ *  and the next allocations and header slots, which expose the free
+ *  lists and the header slab's free stack. */
 struct JournalState
 {
     std::vector<LineData> lines;
@@ -373,6 +401,7 @@ struct JournalState
     std::map<Addr, std::pair<Addr, EpochWide>> master;
     std::uint64_t mapped;
     std::vector<Addr> nextAllocs;
+    std::vector<PagePool::HeaderId> nextHeaders;
 };
 
 JournalState
@@ -385,7 +414,7 @@ snapshot(JournalFuzz &d, const std::set<Addr> &lines,
         d.pool.readLine(line, st.lines.back());
     }
     d.pool.forEachHeader(
-        [&st](Addr sp, const PagePool::SubPageHeader &h) {
+        [&st](PagePool::HeaderId, Addr sp, const PagePool::SubPageHeader &h) {
             st.headers.emplace_back(sp, h.srcPage, h.epoch,
                                     h.capacityLines, h.usedLines,
                                     h.slotLine);
@@ -404,6 +433,10 @@ snapshot(JournalFuzz &d, const std::set<Addr> &lines,
     for (unsigned i = 0; i < 3 * (PagePool::maxOrder + 1); ++i)
         st.nextAllocs.push_back(
             d.pool.allocLines(1u << (i % (PagePool::maxOrder + 1)), 0));
+    for (Addr a : st.nextAllocs)
+        if (a != invalidAddr)
+            st.nextHeaders.push_back(d.pool.setHeader(
+                PagePool::noHeader, a, PagePool::SubPageHeader{}));
     return st;
 }
 
@@ -440,6 +473,7 @@ TEST(PersistDomain, RandomCrashRestoresTheLastBarrier)
         EXPECT_EQ(got.master, want.master);
         EXPECT_EQ(got.mapped, want.mapped);
         EXPECT_EQ(got.nextAllocs, want.nextAllocs);
+        EXPECT_EQ(got.nextHeaders, want.nextHeaders);
     }
     EXPECT_GT(unwound, 1000u) << "the crashes must cut real suffixes";
 }
